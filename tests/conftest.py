@@ -51,6 +51,11 @@ def published_ranks() -> dict[str, dict[str, int]]:
         return json.load(f)["ranks"]
 
 
+def citation_dict(corpus: Corpus) -> dict[tuple[str, str, int, int], int]:
+    """The corpus's merged records as {(citing, cited, citing_year, cited_year): count}."""
+    return dict(corpus.citations)
+
+
 def build_corpus(article_rows, citation_rows) -> Corpus:
     """Compact corpus builder for tests.
 

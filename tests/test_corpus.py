@@ -20,7 +20,7 @@ from citerank.errors import CorpusError
 from citerank.metrics import MetricVector
 from citerank.syngen import GenSettings, generate
 
-from conftest import build_corpus
+from conftest import build_corpus, citation_dict
 
 
 def parse_strings(journals_text, citations_text):
@@ -102,6 +102,42 @@ def test_parse_skips_blank_lines():
 
 
 # ---------------------------------------------------------------------------
+# accepted citation grammar
+
+CITATIONS_HEADER = "citing,cited,citing_year,cited_year,count\n"
+
+
+@pytest.mark.parametrize(
+    "citations_text, expected",
+    [
+        pytest.param(CITATIONS_HEADER + "a,b,2006,2005,1_000\n",
+                     {("a", "b", 2006, 2005): 1000}, id="underscore"),
+        pytest.param(CITATIONS_HEADER + "a,b, 2006 ,2005,1\n",
+                     {("a", "b", 2006, 2005): 1}, id="padded"),
+        pytest.param(CITATIONS_HEADER + "a,b,2006,2005,+5\n",
+                     {("a", "b", 2006, 2005): 5}, id="plus-sign"),
+        pytest.param(CITATIONS_HEADER + "a,b,2006,2005,\u0661\u0662\n",
+                     {("a", "b", 2006, 2005): 12}, id="arabic-indic-digits"),
+        pytest.param(CITATIONS_HEADER + "a,b,2006,2005,007\n",
+                     {("a", "b", 2006, 2005): 7}, id="leading-zeros"),
+        pytest.param(CITATIONS_HEADER + '"a","b",2006,2005,"3"\n',
+                     {("a", "b", 2006, 2005): 3}, id="quoted"),
+        pytest.param(CITATIONS_HEADER + "#h,b,2006,2005,2\n",
+                     {("#h", "b", 2006, 2005): 2}, id="hash-id"),
+        pytest.param(CITATIONS_HEADER + "\na,b,2006,2005,1\n\n",
+                     {("a", "b", 2006, 2005): 1}, id="blank-lines"),
+        pytest.param(CITATIONS_HEADER.replace("\n", "\r\n") + "a,b,2006,2005,1\r\n",
+                     {("a", "b", 2006, 2005): 1}, id="crlf"),
+        pytest.param(CITATIONS_HEADER, {}, id="header-only"),
+        pytest.param("", {}, id="empty-file"),
+    ],
+)
+def test_parse_citation_grammar(citations_text, expected):
+    corpus = parse_strings(JOURNALS_3 + "#h,Hash,2006,1\n", citations_text)
+    assert citation_dict(corpus) == expected
+
+
+# ---------------------------------------------------------------------------
 # parse errors carry line numbers
 
 
@@ -134,6 +170,16 @@ def test_parse_journal_errors(journals_text, line, fragment):
         ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,0\n", 2, "count must be >= 1"),
         ("citing,cited,citing_year,cited_year,count\na,b,2005,2006,1\n", 2, "after citing_year"),
         ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,many\n", 2, "malformed"),
+        (
+            "citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n#alpha,b,2006,2005,1\n",
+            3,
+            "unknown journal id '#alpha'",
+        ),
+        (
+            "citing,cited,citing_year,cited_year,count\n\na,b,2006,2005,1\n\na,b,2006,2005,x\n",
+            5,
+            "malformed",
+        ),
     ],
 )
 def test_parse_citation_errors(citations_text, line, fragment):
