@@ -22,7 +22,6 @@ from .compare import (
     spearman,
 )
 from .corpus import (
-    CitationRecord,
     CitationWindow,
     Corpus,
     Journal,
@@ -52,7 +51,6 @@ from .syngen import GenSettings, generate
 
 __all__ = [
     "ArticleVector",
-    "CitationRecord",
     "CitationWindow",
     "CiteRankError",
     "ComparisonError",

@@ -180,7 +180,7 @@ def cmd_ingest(args) -> int:
     span = corpus.year_range()
     summary = {
         "journals": corpus.n_journals,
-        "citation_records": len(corpus.citations),
+        "citation_records": corpus.n_records,
         "total_citation_count": corpus.total_count(),
         "year_range": list(span) if span else None,
     }
@@ -252,7 +252,7 @@ def cmd_gen(args) -> int:
     write_corpus(corpus, out / "journals.csv", out / "citations.csv")
     print(
         f"generated {corpus.n_journals} journals, "
-        f"{len(corpus.citations)} citation records (seed {settings.seed})"
+        f"{corpus.n_records} citation records (seed {settings.seed})"
     )
     return 0
 

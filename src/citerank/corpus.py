@@ -1,18 +1,20 @@
 """Citation-network data model, CSV ingestion, and dataset filtering.
 
 A :class:`Corpus` holds journals (with per-year article counts) and
-aggregated citation records.  Records are journal-pair-year counts, not
-per-article events; records with identical (citing, cited, citing_year,
-cited_year) keys are merged by summing counts, so merging is idempotent
-and order-independent.
+aggregated citation records as int64 columns.  Records are
+journal-pair-year counts, not per-article events; records with identical
+(citing, cited, citing_year, cited_year) keys are merged by summing counts,
+so merging is idempotent and order-independent.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -21,11 +23,17 @@ from .errors import CorpusError
 if TYPE_CHECKING:
     from .metrics import MetricVector
 
-# (citing id, cited id, citing year, cited publication year)
-CitationKey = tuple[str, str, int, int]
-
 JOURNALS_HEADER = ["id", "name", "year", "articles"]
 CITATIONS_HEADER = ["citing", "cited", "citing_year", "cited_year", "count"]
+
+# Every count, merged count and corpus total stays at or below 2**53, so
+# float64 sums of counts are exact and int64 sums cannot wrap.
+MAX_COUNT = 2**53
+_INT64 = np.iinfo(np.int64)
+# The integer fields numpy's loadtxt reads: ASCII digits, an optional sign,
+# surrounding whitespace.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_NON_BLANK = re.compile(rb"[^\r\n]")
 
 
 @dataclass(frozen=True)
@@ -47,36 +55,6 @@ class Journal:
 
     def articles_in(self, years: Iterable[int]) -> int:
         return sum(self.articles_by_year.get(y, 0) for y in years)
-
-
-@dataclass(frozen=True)
-class CitationRecord:
-    """Aggregated citation edge: `citing` cited `cited` `count` times.
-
-    `citing_year` is the year the citations were made; `cited_year` is the
-    publication year of the cited items, never later than `citing_year`.
-    """
-
-    citing: str
-    cited: str
-    citing_year: int
-    cited_year: int
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise CorpusError(
-                f"citation {self.citing}->{self.cited}: count must be >= 1, got {self.count}"
-            )
-        if self.cited_year > self.citing_year:
-            raise CorpusError(
-                f"citation {self.citing}->{self.cited}: cited_year {self.cited_year} "
-                f"is after citing_year {self.citing_year}"
-            )
-
-    @property
-    def key(self) -> tuple[str, str, int, int]:
-        return (self.citing, self.cited, self.citing_year, self.cited_year)
 
 
 @dataclass(frozen=True)
@@ -111,16 +89,8 @@ class CitationWindow:
     def cited(cls, census_year: int, span: int = 5) -> "CitationWindow":
         return cls(mode="cited-window", census_year=census_year, span=span)
 
-    def includes(self, citing_year: int, cited_year: int) -> bool:
-        if self.mode == "all-years":
-            return True
-        return (
-            citing_year == self.census_year
-            and self.census_year - self.span <= cited_year <= self.census_year - 1
-        )
-
     def mask(self, citing_years: np.ndarray, cited_years: np.ndarray) -> np.ndarray | None:
-        """Vectorized `includes`; None means every record is in."""
+        """Which records the window includes; None means every record is in."""
         if self.mode == "all-years":
             return None
         lo = self.census_year - self.span
@@ -133,10 +103,7 @@ class CitationWindow:
     def publication_years(self, corpus: "Corpus") -> tuple[int, ...]:
         if self.mode == "cited-window":
             return tuple(range(self.census_year - self.span, self.census_year))
-        years: set[int] = set()
-        for journal in corpus.journals.values():
-            years.update(journal.articles_by_year)
-        return tuple(sorted(years))
+        return tuple(sorted(_article_years(corpus.journals)))
 
     def describe(self) -> str:
         if self.mode == "all-years":
@@ -144,109 +111,157 @@ class CitationWindow:
         return f"census_year={self.census_year} span={self.span}"
 
 
-@dataclass(frozen=True)
-class CorpusArrays:
-    """Columnar view of a corpus, for vectorized metric computation."""
-
-    ids: tuple[str, ...]
-    index: dict[str, int]
-    citing_idx: np.ndarray
-    cited_idx: np.ndarray
-    citing_years: np.ndarray
-    cited_years: np.ndarray
-    counts: np.ndarray
+def _article_years(journals: dict[str, Journal]) -> set[int]:
+    return set().union(*(journal.articles_by_year for journal in journals.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Immutable set of journals plus merged citation records.
 
-    `citations` maps (citing, cited, citing_year, cited_year) to the summed
-    count.  Construction validates every invariant; instances are safe to
-    share across threads.
+    `ids` is the sorted journal ids.  Record i says journal `ids[citing[i]]`
+    cited items that `ids[cited[i]]` published in `cited_year[i]`,
+    `count[i]` times, in `citing_year[i]`.  Construction validates every
+    record, sorts the records by (citing, cited, citing_year, cited_year)
+    and sums duplicate keys; the columns are read-only, and instances are
+    safe to share across threads.
     """
 
     journals: dict[str, Journal]
-    citations: dict[tuple[str, str, int, int], int]
+    citing: np.ndarray
+    cited: np.ndarray
+    citing_year: np.ndarray
+    cited_year: np.ndarray
+    count: np.ndarray
+    ids: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        journals = self.journals
-        for jid, journal in journals.items():
+        for jid, journal in self.journals.items():
             if journal.id != jid:
                 raise CorpusError(f"journal keyed {jid!r} carries id {journal.id!r}")
-        for (citing, cited, citing_year, cited_year), count in self.citations.items():
-            if citing not in journals:
-                raise CorpusError(f"citation references unknown journal id {citing!r}")
-            if cited not in journals:
-                raise CorpusError(f"citation references unknown journal id {cited!r}")
-            if not isinstance(count, int) or count < 1:
-                raise CorpusError(
-                    f"citation {citing}->{cited}: merged count must be a positive integer"
-                )
-            if cited_year > citing_year:
-                raise CorpusError(
-                    f"citation {citing}->{cited}: cited_year {cited_year} "
-                    f"is after citing_year {citing_year}"
-                )
+        ids = tuple(sorted(self.journals))
+        columns = [np.ascontiguousarray(getattr(self, name), dtype=np.int64) for name in COLUMNS]
+        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+            raise CorpusError("citation columns must be one-dimensional and of equal length")
+        problem = _first_problem(len(ids), *columns)
+        if problem is not None:
+            raise CorpusError(problem[1])
+        for name, column in zip(COLUMNS, _merged(*columns)):
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "ids", ids)
 
-    @classmethod
-    def build(
-        cls, journals: Iterable[Journal], records: Iterable[CitationRecord] = ()
-    ) -> "Corpus":
-        """Construct from journal objects and (possibly duplicated) records."""
-        by_id: dict[str, Journal] = {}
-        for journal in journals:
-            if journal.id in by_id:
-                raise CorpusError(f"duplicate journal id {journal.id!r}")
-            by_id[journal.id] = journal
-        merged: dict[tuple[str, str, int, int], int] = {}
-        for record in records:
-            key = record.key
-            merged[key] = merged.get(key, 0) + record.count
-        return cls(journals=by_id, citations=merged)
-
-    def records(self) -> Iterator[CitationRecord]:
-        for (citing, cited, citing_year, cited_year), count in self.citations.items():
-            yield CitationRecord(citing, cited, citing_year, cited_year, count)
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self.journals == other.journals and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS
+        )
 
     @property
     def n_journals(self) -> int:
         return len(self.journals)
 
+    @property
+    def n_records(self) -> int:
+        return len(self.count)
+
     def total_count(self) -> int:
-        return sum(self.citations.values())
+        return int(self.count.sum())
+
+    def select(
+        self, window: CitationWindow, include_self: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(citing, cited, count) of the records in `window`, self-citations
+        dropped unless `include_self`."""
+        mask = window.mask(self.citing_year, self.cited_year)
+        if not include_self:
+            non_self = self.citing != self.cited
+            mask = non_self if mask is None else (mask & non_self)
+        if mask is None:
+            return self.citing, self.cited, self.count
+        return self.citing[mask], self.cited[mask], self.count[mask]
 
     def year_range(self) -> tuple[int, int] | None:
         """(min, max) over article years and citation years; None if no years at all."""
-        years: set[int] = set()
-        for journal in self.journals.values():
-            years.update(journal.articles_by_year)
-        for (_, _, citing_year, cited_year) in self.citations:
-            years.add(citing_year)
-            years.add(cited_year)
+        years = _article_years(self.journals)
+        if self.n_records:
+            years.update(
+                int(f(column)) for f in (np.min, np.max)
+                for column in (self.citing_year, self.cited_year)
+            )
         if not years:
             return None
         return min(years), max(years)
 
-    @cached_property
-    def columnar(self) -> CorpusArrays:
-        ids = tuple(sorted(self.journals))
-        index = {jid: i for i, jid in enumerate(ids)}
-        m = len(self.citations)
-        citing_idx = np.empty(m, dtype=np.int64)
-        cited_idx = np.empty(m, dtype=np.int64)
-        citing_years = np.empty(m, dtype=np.int64)
-        cited_years = np.empty(m, dtype=np.int64)
-        counts = np.empty(m, dtype=np.int64)
-        for i, ((citing, cited, citing_year, cited_year), count) in enumerate(
-            self.citations.items()
-        ):
-            citing_idx[i] = index[citing]
-            cited_idx[i] = index[cited]
-            citing_years[i] = citing_year
-            cited_years[i] = cited_year
-            counts[i] = count
-        return CorpusArrays(ids, index, citing_idx, cited_idx, citing_years, cited_years, counts)
+
+COLUMNS = ("citing", "cited", "citing_year", "cited_year", "count")
+
+
+def _first_problem(n_journals, citing, cited, citing_year, cited_year, count):
+    """(row, reason) for the first record that breaks an invariant; None if all hold.
+
+    The invariants: both journals exist, 1 <= count <= 2**53, cited_year <=
+    citing_year, and the running total of counts stays at or below 2**53
+    (which bounds every merged count too).
+    """
+    # Clipping keeps the running sum from wrapping before it first passes the bound.
+    running = np.cumsum(np.clip(count, 0, MAX_COUNT + 1))
+    checks = (
+        ((citing < 0) | (citing >= n_journals) | (cited < 0) | (cited >= n_journals),
+         lambda i: f"citation references unknown journal position {citing[i]} or {cited[i]}"),
+        ((count < 1) | (count > MAX_COUNT),
+         lambda i: f"citation count must be >= 1 and <= 2**53, got {count[i]}"),
+        (cited_year > citing_year,
+         lambda i: f"cited_year {cited_year[i]} is after citing_year {citing_year[i]}"),
+        (running > MAX_COUNT, lambda i: "the running total of citation counts passes 2**53"),
+    )
+    hits = [(int(bad.argmax()), reason) for bad, reason in checks if bad.any()]
+    if not hits:
+        return None
+    row, reason = min(hits, key=lambda hit: hit[0])
+    return row, reason(row)
+
+
+def _merged(citing, cited, citing_year, cited_year, count) -> tuple[np.ndarray, ...]:
+    """Sort the records by key and sum the counts of equal keys.
+
+    Input already in key order, as `write_corpus` writes it, skips the sort.
+    """
+    keys = (citing, cited, citing_year, cited_year)
+    ascending, repeats = _key_order(keys)
+    if not ascending:
+        order = np.lexsort(keys[::-1])
+        keys = tuple(k[order] for k in keys)
+        count = count[order]
+        _, repeats = _key_order(keys)
+    if repeats.any():
+        starts = np.flatnonzero(~repeats)
+        keys = tuple(k[starts] for k in keys)
+        count = np.add.reduceat(count, starts)
+    return (*keys, count)
+
+
+def _key_order(keys: tuple[np.ndarray, ...]) -> tuple[bool, np.ndarray]:
+    """Whether the rows are in ascending key order, and which rows repeat the previous key."""
+    n = max(len(keys[0]) - 1, 0)
+    later = np.zeros(n, dtype=bool)
+    equal = np.ones(n, dtype=bool)
+    for k in keys:
+        later |= equal & (k[1:] > k[:-1])
+        equal &= k[1:] == k[:-1]
+    return bool((later | equal).all()), np.concatenate(([False], equal))
+
+
+def journal_positions(ids: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """Positions of `names` in the sorted array `ids`; CorpusError on an unknown name."""
+    positions = np.searchsorted(ids, names)
+    known = positions < len(ids)
+    known[known] = ids[positions[known]] == names[known]
+    if not known.all():
+        raise CorpusError(f"unknown journal id {names[np.argmin(known)]!r}")
+    return positions
 
 
 def _check_header(row: list[str] | None, expected: list[str], what: str) -> None:
@@ -256,123 +271,166 @@ def _check_header(row: list[str] | None, expected: list[str], what: str) -> None
         )
 
 
+def _data_rows(source: IO[str], expected: list[str], what: str):
+    """(line, row) for each non-blank row after the header, checking the
+    header and each row's field count."""
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        return
+    _check_header(header, expected, what)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise CorpusError(
+                f"{what} row needs {len(expected)} fields, got {len(row)}", line=reader.line_num
+            )
+        yield reader.line_num, row
+
+
+def _parse_journals(source: IO[str]) -> dict[str, Journal]:
+    """Journal rows are `id,name,year,articles`, one per (journal, year); a row
+    with empty year and articles declares a journal with no article data."""
+    articles: dict[str, dict[int, int]] = {}
+    names: dict[str, str] = {}
+    for line, (jid, name, year_s, articles_s) in _data_rows(source, JOURNALS_HEADER, "journals"):
+        if not jid:
+            raise CorpusError("empty journal id", line=line)
+        if jid in names:
+            if names[jid] != name:
+                raise CorpusError(
+                    f"journal {jid!r} listed with conflicting names "
+                    f"{names[jid]!r} and {name!r}",
+                    line=line,
+                )
+        else:
+            names[jid] = name
+            articles[jid] = {}
+        if year_s == "" and articles_s == "":
+            continue
+        try:
+            year = int(year_s)
+            count = int(articles_s)
+        except ValueError:
+            raise CorpusError(
+                f"malformed year/articles fields {year_s!r},{articles_s!r}",
+                line=line,
+            ) from None
+        if count < 0:
+            raise CorpusError(f"negative article count {count}", line=line)
+        if count > MAX_COUNT:
+            raise CorpusError(f"article count {count} is above 2**53", line=line)
+        if year in articles[jid]:
+            raise CorpusError(
+                f"duplicate journal id {jid!r} for year {year}", line=line
+            )
+        articles[jid][year] = count
+    return {
+        jid: Journal(id=jid, name=name, articles_by_year=articles[jid])
+        for jid, name in names.items()
+    }
+
+
+def _no_records() -> tuple[np.ndarray, ...]:
+    return tuple(np.empty(0, dtype=np.int64) for _ in COLUMNS)
+
+
+def _loadtxt_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
+    """Citation columns read by numpy's C parser.
+
+    Raises ValueError or CorpusError for any file it cannot read; the caller
+    then parses row by row.  Only call it on ASCII input without NUL bytes:
+    numpy's integer parser reads some non-ASCII characters as digits, and
+    fixed-width byte strings drop trailing NULs.
+    """
+    body = io.BytesIO(raw)
+    header = next(csv.reader([body.readline().decode("ascii")]), None)
+    _check_header(header, CITATIONS_HEADER, "citations")
+    if _NON_BLANK.search(raw, body.tell()) is None:
+        return _no_records()  # loadtxt would warn about an empty body
+    encoded = np.array([jid.encode("utf-8") for jid in ids], dtype=bytes)
+    # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
+    width = encoded.itemsize + 1
+    table = np.loadtxt(
+        body, delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="ascii",
+        dtype=[("citing", f"S{width}"), ("cited", f"S{width}"),
+               ("citing_year", np.int64), ("cited_year", np.int64), ("count", np.int64)],
+    )
+    return (
+        journal_positions(encoded, table["citing"]),
+        journal_positions(encoded, table["cited"]),
+        *(np.ascontiguousarray(table[name]) for name in COLUMNS[2:]),
+    )
+
+
+def _row_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
+    """Citation columns read row by row with the csv module.
+
+    Accepts the same grammar as `_loadtxt_columns` and raises a CorpusError
+    naming the first offending line.
+    """
+    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    index = {jid: i for i, jid in enumerate(ids)}
+    rows: list[tuple[int, ...]] = []
+    lines: list[int] = []
+    error = None
+    try:
+        for line, row in _data_rows(source, CITATIONS_HEADER, "citations"):
+            if unknown := [name for name in row[:2] if name not in index]:
+                raise CorpusError(f"unknown journal id {unknown[0]!r}", line=line)
+            if not all(_INTEGER.fullmatch(text) for text in row[2:]):
+                raise CorpusError(f"malformed numeric field in {row!r}", line=line)
+            numbers = [int(text) for text in row[2:]]
+            if not all(_INT64.min <= n <= _INT64.max for n in numbers):
+                raise CorpusError(f"numeric field outside the int64 range in {row!r}", line=line)
+            rows.append((index[row[0]], index[row[1]], *numbers))
+            lines.append(line)
+    except CorpusError as exc:
+        error = exc
+    columns = tuple(np.array(c, dtype=np.int64) for c in zip(*rows)) or _no_records()
+    # A record before the first malformed row may break an invariant first.
+    problem = _first_problem(len(ids), *columns)
+    if problem is not None:
+        raise CorpusError(problem[1], line=lines[problem[0]])
+    if error is not None:
+        raise error
+    return columns
+
+
+def _parse_citations(journals: dict[str, Journal], raw: bytes) -> Corpus:
+    """Citation rows are `citing,cited,citing_year,cited_year,count`; duplicate
+    keys are merged by summing counts.  A UTF-8 byte order mark is ignored."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    ids = sorted(journals)
+    if raw.isascii() and b"\0" not in raw and not any('"' in jid or "\0" in jid for jid in ids):
+        try:
+            return Corpus(journals, *_loadtxt_columns(raw, ids))
+        except (ValueError, CorpusError):
+            pass  # the row loop names the offending line
+    return Corpus(journals, *_row_columns(raw, ids))
+
+
 def parse_corpus(journals_source: IO[str], citations_source: IO[str]) -> Corpus:
     """Parse and validate the two CSV streams into a merged Corpus.
 
-    Journal rows are `id,name,year,articles`, one per (journal, year); a row
-    with empty year and articles declares a journal with no article data.
-    Citation rows are `citing,cited,citing_year,cited_year,count`; duplicate
-    keys are merged by summing counts.  Errors report the offending line.
+    Errors report the offending line.
     """
-    journals: dict[str, Journal] = {}
-    articles: dict[str, dict[int, int]] = {}
-    names: dict[str, str] = {}
-    seen_years: dict[str, set[int]] = {}
-
-    jreader = csv.reader(journals_source)
-    header = next(jreader, None)
-    if header is not None:
-        _check_header(header, JOURNALS_HEADER, "journals")
-        for row in jreader:
-            line = jreader.line_num
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CorpusError(
-                    f"journals row needs 4 fields, got {len(row)}", line=line
-                )
-            jid, name, year_s, articles_s = row
-            if not jid:
-                raise CorpusError("empty journal id", line=line)
-            if jid in names:
-                if names[jid] != name:
-                    raise CorpusError(
-                        f"journal {jid!r} listed with conflicting names "
-                        f"{names[jid]!r} and {name!r}",
-                        line=line,
-                    )
-            else:
-                names[jid] = name
-                articles[jid] = {}
-                seen_years[jid] = set()
-            if year_s == "" and articles_s == "":
-                continue
-            try:
-                year = int(year_s)
-                count = int(articles_s)
-            except ValueError:
-                raise CorpusError(
-                    f"malformed year/articles fields {year_s!r},{articles_s!r}",
-                    line=line,
-                ) from None
-            if count < 0:
-                raise CorpusError(f"negative article count {count}", line=line)
-            if year in seen_years[jid]:
-                raise CorpusError(
-                    f"duplicate journal id {jid!r} for year {year}", line=line
-                )
-            seen_years[jid].add(year)
-            articles[jid][year] = count
-
-    for jid, name in names.items():
-        journals[jid] = Journal(id=jid, name=name, articles_by_year=articles[jid])
-
-    # Map every id to its canonical string object so record keys share storage.
-    canonical = {jid: jid for jid in journals}
-    year_pool: dict[int, int] = {}
-    citations: dict[tuple[str, str, int, int], int] = {}
-
-    creader = csv.reader(citations_source)
-    header = next(creader, None)
-    if header is not None:
-        _check_header(header, CITATIONS_HEADER, "citations")
-        for row in creader:
-            line = creader.line_num
-            if not row:
-                continue
-            if len(row) != 5:
-                raise CorpusError(
-                    f"citations row needs 5 fields, got {len(row)}", line=line
-                )
-            citing_s, cited_s, citing_year_s, cited_year_s, count_s = row
-            citing = canonical.get(citing_s)
-            if citing is None:
-                raise CorpusError(f"unknown journal id {citing_s!r}", line=line)
-            cited = canonical.get(cited_s)
-            if cited is None:
-                raise CorpusError(f"unknown journal id {cited_s!r}", line=line)
-            try:
-                citing_year = int(citing_year_s)
-                cited_year = int(cited_year_s)
-                count = int(count_s)
-            except ValueError:
-                raise CorpusError(f"malformed numeric field in {row!r}", line=line) from None
-            if count < 1:
-                raise CorpusError(f"citation count must be >= 1, got {count}", line=line)
-            if cited_year > citing_year:
-                raise CorpusError(
-                    f"cited_year {cited_year} is after citing_year {citing_year}",
-                    line=line,
-                )
-            citing_year = year_pool.setdefault(citing_year, citing_year)
-            cited_year = year_pool.setdefault(cited_year, cited_year)
-            key = (citing, cited, citing_year, cited_year)
-            citations[key] = citations.get(key, 0) + count
-
-    return Corpus(journals=journals, citations=citations)
+    journals = _parse_journals(journals_source)
+    return _parse_citations(journals, citations_source.read().encode("utf-8"))
 
 
 def load_corpus(journals_path, citations_path) -> Corpus:
-    with open(journals_path, newline="", encoding="utf-8") as jf, open(
-        citations_path, newline="", encoding="utf-8"
-    ) as cf:
-        return parse_corpus(jf, cf)
+    with open(journals_path, newline="", encoding="utf-8-sig") as jf:
+        journals = _parse_journals(jf)
+    with open(citations_path, "rb") as cf:
+        return _parse_citations(journals, cf.read())
 
 
 def dump_journals(corpus: Corpus, out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(JOURNALS_HEADER)
-    for jid in sorted(corpus.journals):
+    for jid in corpus.ids:
         journal = corpus.journals[jid]
         if not journal.articles_by_year:
             writer.writerow([jid, journal.name, "", ""])
@@ -384,9 +442,14 @@ def dump_journals(corpus: Corpus, out: IO[str]) -> None:
 def dump_citations(corpus: Corpus, out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CITATIONS_HEADER)
-    for key in sorted(corpus.citations):
-        citing, cited, citing_year, cited_year = key
-        writer.writerow([citing, cited, citing_year, cited_year, corpus.citations[key]])
+    names = np.array(corpus.ids, dtype=object)
+    writer.writerows(zip(
+        names[corpus.citing].tolist(),
+        names[corpus.cited].tolist(),
+        corpus.citing_year.tolist(),
+        corpus.cited_year.tolist(),
+        corpus.count.tolist(),
+    ))
 
 
 def write_corpus(corpus: Corpus, journals_path, citations_path) -> None:
@@ -405,14 +468,18 @@ def filter_to_scored(
     Returns the filtered corpus and the sorted ids that were removed.
     Idempotent; an empty result is legal.
     """
-    keep = set(required.scores)
-    removed = tuple(sorted(jid for jid in corpus.journals if jid not in keep))
+    keep = np.array([jid in required.scores for jid in corpus.ids], dtype=bool)
+    removed = tuple(jid for jid, kept in zip(corpus.ids, keep) if not kept)
     if not removed:
         return corpus, ()
-    journals = {jid: j for jid, j in corpus.journals.items() if jid in keep}
-    citations = {
-        key: count
-        for key, count in corpus.citations.items()
-        if key[0] in keep and key[1] in keep
-    }
-    return Corpus(journals=journals, citations=citations), removed
+    journals = {jid: corpus.journals[jid] for jid, kept in zip(corpus.ids, keep) if kept}
+    position = np.cumsum(keep) - 1
+    rows = keep[corpus.citing] & keep[corpus.cited]
+    return Corpus(
+        journals,
+        position[corpus.citing[rows]],
+        position[corpus.cited[rows]],
+        corpus.citing_year[rows],
+        corpus.cited_year[rows],
+        corpus.count[rows],
+    ), removed

@@ -104,20 +104,10 @@ def build_matrix(
         window = CitationWindow.all_years()
     if corpus.n_journals < 1:
         raise MatrixBuildError("corpus has no journals")
-    cols = corpus.columnar
-    ids = cols.ids
+    ids = corpus.ids
     n = len(ids)
 
-    mask = window.mask(cols.citing_years, cols.cited_years)
-    if exclude_self:
-        non_self = cols.citing_idx != cols.cited_idx
-        mask = non_self if mask is None else (mask & non_self)
-    if mask is None:
-        citing, cited, counts = cols.citing_idx, cols.cited_idx, cols.counts
-    else:
-        citing = cols.citing_idx[mask]
-        cited = cols.cited_idx[mask]
-        counts = cols.counts[mask]
+    citing, cited, counts = corpus.select(window, include_self=not exclude_self)
 
     matrix = sp.coo_matrix(
         (counts.astype(float), (cited, citing)), shape=(n, n)

@@ -53,20 +53,9 @@ def total_citations(
     """
     if window is None:
         window = CitationWindow.all_years()
-    cols = corpus.columnar
-    n = len(cols.ids)
-    mask = window.mask(cols.citing_years, cols.cited_years)
-    if not include_self:
-        non_self = cols.citing_idx != cols.cited_idx
-        mask = non_self if mask is None else (mask & non_self)
-    if mask is None:
-        cited = cols.cited_idx
-        counts = cols.counts
-    else:
-        cited = cols.cited_idx[mask]
-        counts = cols.counts[mask]
-    totals = np.bincount(cited, weights=counts, minlength=n)
-    scores = {jid: float(totals[i]) for i, jid in enumerate(cols.ids)}
+    _, cited, counts = corpus.select(window, include_self)
+    totals = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
+    scores = {jid: float(totals[i]) for i, jid in enumerate(corpus.ids)}
     provenance = f"total_citations window=[{window.describe()}] include_self={include_self}"
     return MetricVector("total_citations", scores, provenance)
 
@@ -87,17 +76,11 @@ def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
         raise MetricError(
             f"census year {census_year} outside the corpus year range {lo}..{hi}"
         )
-    cols = corpus.columnar
-    n = len(cols.ids)
-    mask = (cols.citing_years == census_year) & (
-        (cols.cited_years == census_year - 1) | (cols.cited_years == census_year - 2)
-    )
-    numerators = np.bincount(
-        cols.cited_idx[mask], weights=cols.counts[mask], minlength=n
-    )
+    _, cited, counts = corpus.select(CitationWindow.cited(census_year, span=2), include_self=True)
+    numerators = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
     scores: dict[str, float] = {}
     omitted: list[str] = []
-    for i, jid in enumerate(cols.ids):
+    for i, jid in enumerate(corpus.ids):
         journal = corpus.journals[jid]
         denominator = journal.articles_by_year.get(
             census_year - 1, 0

@@ -77,11 +77,17 @@ def generate(settings: GenSettings) -> Corpus:
         )
         for i in range(n)
     }
+    # Journal i sits at its id's place in sorted order; past J999999 the
+    # wider ids sort out of index order.
+    position = np.empty(n, dtype=np.int64)
+    position[np.argsort(ids, kind="stable")] = np.arange(n)
 
-    events = np.stack([citing_idx, cited_idx, citing_year, cited_year], axis=1)
-    keys, counts = np.unique(events, axis=0, return_counts=True)
-    citations = {
-        (ids[citing], ids[cited], int(cy), int(py)): int(count)
-        for (citing, cited, cy, py), count in zip(keys.tolist(), counts.tolist())
-    }
-    return Corpus(journals=journals, citations=citations)
+    # One event per row; the Corpus merges events that share a key.
+    return Corpus(
+        journals,
+        position[citing_idx],
+        position[cited_idx],
+        citing_year,
+        cited_year,
+        np.ones(total, dtype=np.int64),
+    )

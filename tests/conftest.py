@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from citerank.cli import load_metric_file
-from citerank.corpus import CitationRecord, Corpus, Journal, load_corpus
+from citerank.corpus import Corpus, Journal, journal_positions, load_corpus
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TOY_DIR = DATA_DIR / "toy"
@@ -53,7 +53,38 @@ def published_ranks() -> dict[str, dict[str, int]]:
 
 def citation_dict(corpus: Corpus) -> dict[tuple[str, str, int, int], int]:
     """The corpus's merged records as {(citing, cited, citing_year, cited_year): count}."""
-    return dict(corpus.citations)
+    ids = corpus.ids
+    return {
+        (ids[citing], ids[cited], citing_year, cited_year): count
+        for citing, cited, citing_year, cited_year, count in zip(
+            corpus.citing.tolist(),
+            corpus.cited.tolist(),
+            corpus.citing_year.tolist(),
+            corpus.cited_year.tolist(),
+            corpus.count.tolist(),
+        )
+    }
+
+
+def citation_rows(corpus: Corpus) -> list[tuple[str, str, int, int, int]]:
+    """The corpus's merged records as (citing, cited, citing_year, cited_year, count) rows."""
+    return [key + (count,) for key, count in citation_dict(corpus).items()]
+
+
+def corpus_from(journals, rows) -> Corpus:
+    """Corpus from Journal objects and (citing, cited, citing_year, cited_year,
+    count) rows keyed by journal id; rows with equal keys merge."""
+    by_id = {journal.id: journal for journal in journals}
+    ids = np.array(sorted(by_id), dtype=str)
+    citing, cited, citing_year, cited_year, count = (list(c) for c in zip(*rows)) if rows else ([],) * 5
+    return Corpus(
+        by_id,
+        journal_positions(ids, np.array(citing, dtype=str)),
+        journal_positions(ids, np.array(cited, dtype=str)),
+        citing_year,
+        cited_year,
+        count,
+    )
 
 
 def build_corpus(article_rows, citation_rows) -> Corpus:
@@ -66,8 +97,7 @@ def build_corpus(article_rows, citation_rows) -> Corpus:
         Journal(id=jid, name=f"Journal {jid}", articles_by_year=dict(years))
         for jid, years in article_rows
     ]
-    records = [CitationRecord(*row) for row in citation_rows]
-    return Corpus.build(journals, records)
+    return corpus_from(journals, list(citation_rows))
 
 
 def seeded_corpus(seed: int, n: int | None = None, min_articles: int = 1) -> Corpus:

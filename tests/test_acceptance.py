@@ -31,7 +31,7 @@ from citerank.eigenrank import (
 from citerank.metrics import MetricVector, impact_factor
 from citerank.syngen import GenSettings, generate
 
-from conftest import build_corpus, seeded_corpus
+from conftest import build_corpus, citation_dict, seeded_corpus
 
 
 @contextlib.contextmanager
@@ -280,7 +280,7 @@ def test_criterion_7_impact_factor_contract():
                     )
                     for jid, journal in base.journals.items()
                 ],
-                [key + (count,) for key, count in base.citations.items()],
+                [key + (count,) for key, count in citation_dict(base).items()],
             )
             vector = impact_factor(corpus, 2006)
             assert set(corpus.journals) - set(vector.scores) == gutted
@@ -293,7 +293,7 @@ def test_criterion_7_impact_factor_contract():
                     (jid, {y: factor * n for y, n in j.articles_by_year.items()})
                     for jid, j in corpus.journals.items()
                 ],
-                [key + (factor * count,) for key, count in corpus.citations.items()],
+                [key + (factor * count,) for key, count in citation_dict(corpus).items()],
             )
             assert impact_factor(scaled, 2006).scores == vector.scores
 
@@ -346,7 +346,7 @@ def test_criterion_9_determinism_and_scale(tmp_path):
                 mean_out_citations=100.0, seed=42,
             )
         )
-        n_records = len(corpus.citations)
+        n_records = corpus.n_records
         assert corpus.n_journals == 10_000
         assert 900_000 <= n_records <= 1_100_000
         journals_csv = tmp_path / "journals.csv"

@@ -1,5 +1,6 @@
 """Command-line behaviors: files written, exit codes, determinism."""
 
+import codecs
 import hashlib
 import json
 import subprocess
@@ -53,6 +54,30 @@ def test_ingest_writes_normalized_copy(tmp_path, toy_paths, toy_corpus, capsys):
 def test_ingest_requires_corpus_flags(tmp_path, capsys):
     assert run_cli("ingest", "--out", tmp_path / "x") == 1
     assert "required" in capsys.readouterr().err
+
+
+def test_ingest_accepts_utf8_bom(tmp_path, toy_paths, toy_corpus):
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for path in toy_paths:
+        (bom / path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_corpus(bom / "journals.csv", bom / "citations.csv") == toy_corpus
+    assert run_cli("ingest", "--journals", bom / "journals.csv",
+                   "--citations", bom / "citations.csv", "--out", tmp_path / "a") == 0
+    assert run_cli("ingest", *corpus_args(toy_paths), "--out", tmp_path / "b") == 0
+    assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["report", "--census-year", "2006"]])
+def test_oversized_count_is_a_line_numbered_error(tmp_path, toy_paths, command, capsys):
+    journals, citations = toy_paths
+    bad = tmp_path / "citations.csv"
+    bad.write_text(citations.read_text() + "alpha,beta,2006,2005,9223372036854775808\n")
+    code = run_cli(*command, "--journals", journals, "--citations", bad, "--out", tmp_path / "o")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("citerank: error: line 15: ")
+    assert "Traceback" not in err
 
 
 def test_ingest_reports_parse_error_with_line(tmp_path, capsys):

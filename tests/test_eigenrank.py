@@ -22,7 +22,7 @@ from citerank.eigenrank import (
 )
 from citerank.errors import ConvergenceError, MatrixBuildError
 
-from conftest import build_corpus, seeded_corpus
+from conftest import build_corpus, citation_dict, seeded_corpus
 
 
 def mutual_pair():
@@ -98,7 +98,7 @@ def test_build_matrix_window_restricts_edges():
 
 def test_build_matrix_requires_journals():
     with pytest.raises(MatrixBuildError, match="no journals"):
-        build_matrix(Corpus(journals={}, citations={}))
+        build_matrix(build_corpus([], []))
 
 
 def test_build_matrix_requires_articles_in_window():
@@ -281,7 +281,7 @@ def test_count_scale_invariance():
     base = seeded_corpus(77)
     scaled = build_corpus(
         [(jid, j.articles_by_year) for jid, j in base.journals.items()],
-        [key + (7 * count,) for key, count in base.citations.items()],
+        [key + (7 * count,) for key, count in citation_dict(base).items()],
     )
     m1, a1 = build_matrix(base)
     m2, a2 = build_matrix(scaled)
@@ -299,7 +299,7 @@ def test_permutation_equivariance():
         [(relabel[jid], j.articles_by_year) for jid, j in base.journals.items()],
         [
             (relabel[citing], relabel[cited], cy, py, count)
-            for (citing, cited, cy, py), count in base.citations.items()
+            for (citing, cited, cy, py), count in citation_dict(base).items()
         ],
     )
     m1, a1 = build_matrix(base)

@@ -10,7 +10,7 @@ from citerank.corpus import CitationWindow
 from citerank.errors import MetricError
 from citerank.metrics import MetricVector, impact_factor, total_citations
 
-from conftest import build_corpus, seeded_corpus
+from conftest import build_corpus, citation_dict, corpus_from, seeded_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,10 @@ def test_total_citations_all_years_additive_over_census_years(seed):
     corpus = seeded_corpus(seed)
     strict = {
         key: count
-        for key, count in corpus.citations.items()
+        for key, count in citation_dict(corpus).items()
         if key[3] < key[2]
     }
-    corpus = type(corpus)(journals=corpus.journals, citations=strict)
+    corpus = corpus_from(corpus.journals.values(), [key + (count,) for key, count in strict.items()])
     full = total_citations(corpus).scores
     by_year = [
         total_citations(corpus, CitationWindow.cited(year, span=10)).scores
@@ -188,7 +188,7 @@ def test_impact_factor_omission_property(seed, data):
             )
             for jid, journal in base.journals.items()
         ],
-        [key + (count,) for key, count in base.citations.items()],
+        [key + (count,) for key, count in citation_dict(base).items()],
     )
     vector = impact_factor(corpus, census)
     for jid, journal in corpus.journals.items():
@@ -200,7 +200,7 @@ def test_impact_factor_omission_property(seed, data):
         else:
             numerator = sum(
                 count
-                for (citing, cited, citing_year, cited_year), count in corpus.citations.items()
+                for (citing, cited, citing_year, cited_year), count in citation_dict(corpus).items()
                 if cited == jid
                 and citing_year == census
                 and cited_year in (census - 1, census - 2)
@@ -219,7 +219,7 @@ def test_impact_factor_integer_scale_property(seed, factor):
         ],
         [
             (citing, cited, citing_year, cited_year, factor * count)
-            for (citing, cited, citing_year, cited_year), count in corpus.citations.items()
+            for (citing, cited, citing_year, cited_year), count in citation_dict(corpus).items()
         ],
     )
     assert impact_factor(corpus, 2006).scores == impact_factor(scaled, 2006).scores

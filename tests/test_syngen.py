@@ -9,6 +9,8 @@ from citerank.corpus import dump_citations, dump_journals
 from citerank.metrics import total_citations
 from citerank.syngen import GenSettings, generate
 
+from conftest import citation_dict
+
 
 def serialized(corpus):
     jbuf, cbuf = io.StringIO(), io.StringIO()
@@ -42,7 +44,7 @@ def test_single_journal_cites_only_itself():
     corpus = generate(GenSettings(n_journals=1, years=(2005, 2006), seed=4))
     assert corpus.n_journals == 1
     (jid,) = corpus.journals
-    for citing, cited, _, _ in corpus.citations:
+    for citing, cited, _, _ in citation_dict(corpus):
         assert citing == jid and cited == jid
 
 
@@ -52,7 +54,7 @@ def test_generated_corpus_is_valid():
     for journal in corpus.journals.values():
         assert sorted(journal.articles_by_year) == list(range(first, last + 1))
         assert all(n >= 1 for n in journal.articles_by_year.values())
-    for (citing, cited, citing_year, cited_year), count in corpus.citations.items():
+    for (citing, cited, citing_year, cited_year), count in citation_dict(corpus).items():
         assert citing in corpus.journals and cited in corpus.journals
         assert first <= citing_year <= last
         assert first <= cited_year <= citing_year
@@ -61,14 +63,14 @@ def test_generated_corpus_is_valid():
 
 def test_single_year_range():
     corpus = generate(GenSettings(n_journals=5, years=(2006, 2006), seed=0))
-    for (_, _, citing_year, cited_year) in corpus.citations:
+    for (_, _, citing_year, cited_year) in citation_dict(corpus):
         assert citing_year == cited_year == 2006
 
 
 def test_journal_count_scales():
     corpus = generate(GenSettings(n_journals=250, years=(2004, 2006), seed=9))
     assert corpus.n_journals == 250
-    assert len(corpus.citations) > 0
+    assert len(citation_dict(corpus)) > 0
 
 
 # ---------------------------------------------------------------------------
