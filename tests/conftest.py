@@ -76,7 +76,7 @@ def corpus_from(journals, rows) -> Corpus:
     count) rows keyed by journal id; rows with equal keys merge."""
     by_id = {journal.id: journal for journal in journals}
     ids = np.array(sorted(by_id), dtype=str)
-    citing, cited, citing_year, cited_year, count = (list(c) for c in zip(*rows)) if rows else ([],) * 5
+    citing, cited, citing_year, cited_year, count = list(zip(*rows)) or [()] * 5
     return Corpus(
         by_id,
         journal_positions(ids, np.array(citing, dtype=str)),
@@ -97,7 +97,7 @@ def build_corpus(article_rows, citation_rows) -> Corpus:
         Journal(id=jid, name=f"Journal {jid}", articles_by_year=dict(years))
         for jid, years in article_rows
     ]
-    return corpus_from(journals, list(citation_rows))
+    return corpus_from(journals, citation_rows)
 
 
 def seeded_corpus(seed: int, n: int | None = None, min_articles: int = 1) -> Corpus:
