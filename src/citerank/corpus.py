@@ -34,6 +34,8 @@ _INT64 = np.iinfo(np.int64)
 # surrounding whitespace.
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 _NON_BLANK = re.compile(rb"[^\r\n]")
+# The first line and its ending, which may be \n, \r\n or a bare \r.
+_FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,11 @@ class Corpus:
             if journal.id != jid:
                 raise CorpusError(f"journal keyed {jid!r} carries id {journal.id!r}")
         ids = tuple(sorted(self.journals))
-        columns = [np.ascontiguousarray(getattr(self, name), dtype=np.int64) for name in COLUMNS]
+        columns = [np.asarray(getattr(self, name)) for name in COLUMNS]
+        if any(c.size and (c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64))
+               for c in columns):
+            raise CorpusError("citation columns must hold integers that fit in int64")
+        columns = [np.ascontiguousarray(c, dtype=np.int64) for c in columns]
         if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
             raise CorpusError("citation columns must be one-dimensional and of equal length")
         problem = _first_problem(len(ids), *columns)
@@ -339,16 +345,18 @@ def _no_records() -> tuple[np.ndarray, ...]:
 def _loadtxt_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
     """Citation columns read by numpy's C parser.
 
-    Raises ValueError or CorpusError for any file it cannot read; the caller
+    Raises ValueError, csv.Error or CorpusError for any file it cannot read; the caller
     then parses row by row.  Only call it on ASCII input without NUL bytes:
     numpy's integer parser reads some non-ASCII characters as digits, and
     fixed-width byte strings drop trailing NULs.
     """
-    body = io.BytesIO(raw)
-    header = next(csv.reader([body.readline().decode("ascii")]), None)
+    body_start = _FIRST_LINE.match(raw).end()
+    header = next(csv.reader([raw[:body_start].decode("ascii")]), None)
     _check_header(header, CITATIONS_HEADER, "citations")
-    if _NON_BLANK.search(raw, body.tell()) is None:
+    if _NON_BLANK.search(raw, body_start) is None:
         return _no_records()  # loadtxt would warn about an empty body
+    body = io.BytesIO(raw)
+    body.seek(body_start)
     encoded = np.array([jid.encode("utf-8") for jid in ids], dtype=bytes)
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
     width = encoded.itemsize + 1
@@ -406,7 +414,7 @@ def _parse_citations(journals: dict[str, Journal], raw: bytes) -> Corpus:
     if raw.isascii() and b"\0" not in raw and not any('"' in jid or "\0" in jid for jid in ids):
         try:
             return Corpus(journals, *_loadtxt_columns(raw, ids))
-        except (ValueError, CorpusError):
+        except (ValueError, csv.Error, CorpusError):
             pass  # the row loop names the offending line
     return Corpus(journals, *_row_columns(raw, ids))
 

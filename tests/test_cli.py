@@ -68,6 +68,18 @@ def test_ingest_accepts_utf8_bom(tmp_path, toy_paths, toy_corpus):
     assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
 
+def test_report_reads_bare_cr_line_endings(tmp_path, toy_paths):
+    cr = tmp_path / "cr"
+    cr.mkdir()
+    for path in toy_paths:
+        (cr / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    assert run_cli("report", "--census-year", "2006", "--journals", cr / "journals.csv",
+                   "--citations", cr / "citations.csv", "--out", tmp_path / "a") == 0
+    assert run_cli("report", "--census-year", "2006", *corpus_args(toy_paths),
+                   "--out", tmp_path / "b") == 0
+    assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+
 @pytest.mark.parametrize("command", [["ingest"], ["report", "--census-year", "2006"]])
 def test_oversized_count_is_a_line_numbered_error(tmp_path, toy_paths, command, capsys):
     journals, citations = toy_paths

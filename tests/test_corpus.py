@@ -1,5 +1,6 @@
 """Corpus model, CSV parsing, serialization round-trips, and filtering."""
 
+import csv
 import io
 
 import numpy as np
@@ -133,13 +134,18 @@ CITATIONS_HEADER = "citing,cited,citing_year,cited_year,count\n"
                      {('q"x', "b", 2006, 2005): 2}, id="quote-in-id"),
         pytest.param(CITATIONS_HEADER + "a,b,2006,2005,1\ra,b,2006,2004,1\r",
                      {("a", "b", 2006, 2005): 1, ("a", "b", 2006, 2004): 1}, id="cr-endings"),
+        pytest.param(CITATIONS_HEADER.replace("\n", "\r") + "a,b,2006,2005,1\ra,b,2006,2005,2\r",
+                     {("a", "b", 2006, 2005): 3}, id="cr-endings-with-header"),
         pytest.param(CITATIONS_HEADER, {}, id="header-only"),
         pytest.param("", {}, id="empty-file"),
     ],
 )
 def test_parse_citation_grammar(citations_text, expected):
-    journals = JOURNALS_3 + "#h,Hash,2006,1\n\u00e9,Accent,2006,1\n\"q\"\"x\",Quote,2006,1\n"
-    assert citation_dict(parse_strings(journals, citations_text)) == expected
+    # Only the ids a case uses are declared, so ASCII cases take the loadtxt path.
+    extra = sorted({jid for key in expected for jid in key[:2]} - {"a", "b", "c"})
+    declared = io.StringIO()
+    csv.writer(declared, lineterminator="\n").writerows((jid, "Extra", 2006, 1) for jid in extra)
+    assert citation_dict(parse_strings(JOURNALS_3 + declared.getvalue(), citations_text)) == expected
 
 
 FIELD_TEXTS = st.sampled_from([
@@ -149,19 +155,20 @@ FIELD_TEXTS = st.sampled_from([
 ROW_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", ",\n", "\n\n", " \n"])
 
 
-@given(st.lists(st.tuples(st.lists(FIELD_TEXTS, min_size=4, max_size=6), ROW_ENDINGS),
+@given(st.sampled_from(["\n", "\r\n", "\r"]),
+       st.lists(st.tuples(st.lists(FIELD_TEXTS, min_size=4, max_size=6), ROW_ENDINGS),
                 max_size=4),
        st.text(alphabet='ab,"\r\n 12', max_size=30))
 @settings(max_examples=300, deadline=None)
-def test_loadtxt_and_row_loop_agree(rows, tail):
+def test_loadtxt_and_row_loop_agree(header_ending, rows, tail):
     """Whatever numpy's parser reads, the csv row loop reads identically."""
-    text = "citing,cited,citing_year,cited_year,count\n" + "".join(
+    text = "citing,cited,citing_year,cited_year,count" + header_ending + "".join(
         ",".join(fields) + ending for fields, ending in rows
     ) + tail
     raw, ids = text.encode("ascii"), ["a", "a,b", "b"]
     try:
         fast = _loadtxt_columns(raw, ids)
-    except (ValueError, CorpusError):
+    except (ValueError, csv.Error, CorpusError):
         return  # rejected files always go to the row loop
     if _first_problem(len(ids), *fast) is not None:
         with pytest.raises(CorpusError):
@@ -280,6 +287,16 @@ def test_record_rejects_future_cited_year():
 def test_corpus_rejects_journal_keyed_under_another_id():
     with pytest.raises(CorpusError, match="carries id"):
         Corpus({"a": Journal("a", "Alpha"), "b": Journal("a", "Alias")}, [], [], [], [], [])
+
+
+@pytest.mark.parametrize("column", [[1.5], [True], np.array([2**63], dtype=np.uint64)])
+def test_corpus_rejects_columns_that_are_not_int64(column):
+    positions = np.zeros(len(column), dtype=np.int64)
+    counts = np.ones(len(column), dtype=np.int64)
+    with pytest.raises(CorpusError, match="integers"):
+        Corpus({"a": Journal("a", "Alpha")}, positions, positions, counts + 2005, column, counts)
+    with pytest.raises(CorpusError, match="integers"):
+        Corpus({"a": Journal("a", "Alpha")}, positions, positions, counts + 2005, counts, column)
 
 
 def test_corpus_rejects_citation_to_unknown_journal():
