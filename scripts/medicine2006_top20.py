@@ -6,13 +6,13 @@ the table.
 """
 
 import argparse
+import itertools
 from pathlib import Path
 
 from citerank.cli import load_metric_file
-from citerank.compare import compare_metrics, rank
+from citerank.compare import compare_metrics, concentration, rank
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
-METRICS = ("eigenfactor", "total_citations", "impact_factor")
 FILES = {
     "eigenfactor": "top20_medicine2006_eigenfactor.json",
     "total_citations": "top20_medicine2006_citations.json",
@@ -31,14 +31,12 @@ def main(argv=None):
         name: load_metric_file(args.data_dir / filename)
         for name, filename in FILES.items()
     }
-    ranks = {
-        name: {row.journal: int(row.rank) for row in rank(vector, "min").rows}
-        for name, vector in vectors.items()
-    }
+    tables = {name: rank(vector, "min") for name, vector in vectors.items()}
+    ranks = {name: {row.journal: row.rank for row in table.rows} for name, table in tables.items()}
 
     eigen = vectors["eigenfactor"]
     print(f"{'journal':<22} {'eigen':>8} {'rank':>4} {'cites':>7} {'rank':>4} {'IF':>7} {'rank':>4}")
-    for row in rank(eigen, "min").rows:
+    for row in tables["eigenfactor"].rows:
         jid = row.journal
         print(
             f"{jid:<22} {eigen.scores[jid]:>8.4f} {ranks['eigenfactor'][jid]:>4}"
@@ -47,17 +45,15 @@ def main(argv=None):
         )
 
     print()
-    for i, name_x in enumerate(METRICS):
-        for name_y in METRICS[i + 1 :]:
-            report = compare_metrics(vectors[name_x], vectors[name_y])
-            print(
-                f"{name_x} vs {name_y}: spearman {report.spearman_rho:.4f},"
-                f" pearson(log10) {report.pearson_log_rho:.4f}, n {report.n}"
-            )
+    for name_x, name_y in itertools.combinations(FILES, 2):
+        report = compare_metrics(vectors[name_x], vectors[name_y])
+        print(
+            f"{name_x} vs {name_y}: spearman {report.spearman_rho:.4f},"
+            f" pearson(log10) {report.pearson_log_rho:.4f}, n {report.n}"
+        )
 
     print()
-    report = compare_metrics(vectors["total_citations"], vectors["eigenfactor"])
-    for k, share in report.concentration:
+    for k, share in concentration(vectors["total_citations"], (1, 5, 10)):
         print(f"top {k:>2} of these 20 hold {share:.1%} of their citations")
 
 

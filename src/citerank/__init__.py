@@ -25,17 +25,14 @@ from .corpus import (
     CitationWindow,
     Corpus,
     Journal,
-    filter_to_scored,
     load_corpus,
     parse_corpus,
     write_corpus,
 )
 from .eigenrank import (
-    ArticleVector,
     CrossCitationMatrix,
     EigenSettings,
     build_matrix,
-    dense_oracle_scores,
     eigen_scores,
 )
 from .errors import (
@@ -50,7 +47,6 @@ from .metrics import MetricVector, impact_factor, total_citations
 from .syngen import GenSettings, generate
 
 __all__ = [
-    "ArticleVector",
     "CitationWindow",
     "CiteRankError",
     "ComparisonError",
@@ -70,10 +66,8 @@ __all__ = [
     "build_matrix",
     "compare_metrics",
     "concentration",
-    "dense_oracle_scores",
     "density_ellipse",
     "eigen_scores",
-    "filter_to_scored",
     "generate",
     "impact_factor",
     "load_corpus",

@@ -12,14 +12,15 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Sequence
 
 from . import __version__
-from .compare import ComparisonReport, RankTable, compare_metrics, positive_log_pairs, rank
+from .compare import ComparisonReport, RankTable, compare_metrics, rank
 from .corpus import CitationWindow, Corpus, load_corpus, write_corpus
 from .eigenrank import EigenSettings, build_matrix, eigen_scores
-from .errors import CiteRankError
+from .errors import CiteRankError, MetricError
 from .metrics import MetricVector, impact_factor, total_citations
 from .syngen import GenSettings, generate
 
@@ -37,14 +38,8 @@ def write_json(obj, path: Path) -> None:
 
 
 def write_metric_file(vector: MetricVector, path: Path) -> None:
-    write_json(
-        {
-            "metric_name": vector.metric_name,
-            "provenance": vector.provenance,
-            "scores": vector.scores,
-        },
-        path,
-    )
+    """The vector's three fields: metric_name, provenance and scores."""
+    write_json(vars(vector), path)
 
 
 def load_metric_file(path) -> MetricVector:
@@ -52,12 +47,18 @@ def load_metric_file(path) -> MetricVector:
         payload = json.load(f)
     if not isinstance(payload, dict) or "metric_name" not in payload or "scores" not in payload:
         raise CiteRankError(f"{path}: not a metric file (needs metric_name and scores)")
-    scores = {jid: float(v) for jid, v in payload["scores"].items()}
-    return MetricVector(
-        metric_name=payload["metric_name"],
-        scores=scores,
-        provenance=payload.get("provenance", ""),
-    )
+    scores = payload["scores"]
+    # type(), not isinstance(): JSON true and false load as bools, which are ints.
+    if not isinstance(scores, dict) or not all(type(v) in (int, float) for v in scores.values()):
+        raise CiteRankError(f"{path}: scores must map journal ids to numbers")
+    try:
+        return MetricVector(
+            metric_name=payload["metric_name"],
+            scores={jid: float(v) for jid, v in scores.items()},
+            provenance=payload.get("provenance", ""),
+        )
+    except (MetricError, OverflowError) as exc:
+        raise CiteRankError(f"{path}: {exc}") from None
 
 
 def format_score(value: float, precision: int) -> str:
@@ -79,42 +80,23 @@ def print_rank_table(table: RankTable, top: int, precision: int, out: IO[str]) -
         out.write(f"{row.rank:>6g}  {row.journal:<{width}}  {format_score(row.score, precision)}\n")
 
 
-def rank_table_json(table: RankTable) -> dict:
-    return {
-        "metric_name": table.metric_name,
-        "tie_policy": table.tie_policy,
-        "rows": [[row.journal, row.score, row.rank] for row in table.rows],
-    }
+# The statistics a pair's entry in report.json repeats from its report file.
+HEADLINE = ("pearson_log_rho", "spearman_rho", "n")
 
 
 def comparison_json(report: ComparisonReport) -> dict:
-    ellipse = report.ellipse
-    return {
-        "pearson_log_rho": report.pearson_log_rho,
-        "spearman_rho": report.spearman_rho,
-        "n": report.n,
-        "omitted": list(report.omitted),
-        "concentration": [[k, share] for k, share in report.concentration],
-        "rank_gaps": list(report.rank_gaps),
-        "ellipse": {
-            "center": list(ellipse.center),
-            "semi_axes": list(ellipse.semi_axes),
-            "orientation_radians": ellipse.orientation_radians,
-            "coverage": ellipse.coverage,
-            "degenerate": ellipse.degenerate,
-        },
-    }
+    """The pair report file's contents; tuples are written as JSON arrays."""
+    fields = HEADLINE + ("omitted", "concentration", "rank_gaps")
+    return {name: getattr(report, name) for name in fields} | {"ellipse": asdict(report.ellipse)}
 
 
-def write_scatter(x: MetricVector, y: MetricVector, path: Path) -> list[list]:
+def write_scatter(report: ComparisonReport, path: Path) -> None:
     """Tab-separated (journal, log10 x, log10 y) for the positive common pairs."""
-    ids, lx, ly, _ = positive_log_pairs(x, y)
-    rows = [[jid, float(a), float(b)] for jid, a, b in zip(ids, lx, ly)]
+    ids, lx, ly = report.scatter
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"journal\tlog10_{x.metric_name}\tlog10_{y.metric_name}\n")
-        for jid, a, b in rows:
+        f.write(f"journal\tlog10_{report.x_name}\tlog10_{report.y_name}\n")
+        for jid, a, b in zip(ids, lx.tolist(), ly.tolist()):
             f.write(f"{jid}\t{a!r}\t{b!r}\n")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +117,15 @@ def _citation_window(args) -> CitationWindow:
     return CitationWindow.cited(args.census_year, span)
 
 
+def _eigen_settings(args) -> EigenSettings:
+    return EigenSettings(
+        alpha=args.alpha,
+        tolerance=args.tol,
+        max_iterations=args.max_iter,
+        exclude_self=not _self_policy(args, False),
+    )
+
+
 def compute_metric(corpus: Corpus, method: str, args) -> MetricVector:
     if method == "citations":
         return total_citations(
@@ -145,12 +136,7 @@ def compute_metric(corpus: Corpus, method: str, args) -> MetricVector:
             raise CiteRankError("--census-year is required for the impact-factor method")
         return impact_factor(corpus, args.census_year)
     if method == "eigenfactor":
-        settings = EigenSettings(
-            alpha=args.alpha,
-            tolerance=args.tol,
-            max_iterations=args.max_iter,
-            exclude_self=not _self_policy(args, False),
-        )
+        settings = _eigen_settings(args)
         window = _citation_window(args)
         matrix, articles = build_matrix(corpus, window, exclude_self=settings.exclude_self)
         return eigen_scores(matrix, articles, settings)
@@ -193,13 +179,20 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def write_ranked(vector: MetricVector, args, out: Path) -> tuple[RankTable, list[str]]:
+    """Write the vector's metric file and rank table; return the table and the file names."""
+    files = [f"{vector.metric_name}.metric.json", f"{vector.metric_name}.ranks.tsv"]
+    write_metric_file(vector, out / files[0])
+    table = rank(vector, tie_policy=args.tie_policy)
+    write_rank_table(table, out / files[1], args.precision)
+    return table, files
+
+
 def cmd_rank(args) -> int:
     corpus = _load_corpus_args(args)
     out = _out_dir(args)
     vector = compute_metric(corpus, args.method, args)
-    write_metric_file(vector, out / f"{vector.metric_name}.metric.json")
-    table = rank(vector, tie_policy=args.tie_policy)
-    write_rank_table(table, out / f"{vector.metric_name}.ranks.tsv", args.precision)
+    table, _ = write_ranked(vector, args, out)
     print_rank_table(table, args.top, args.precision, sys.stdout)
     omitted = sorted(set(corpus.journals) - set(vector.scores))
     if omitted:
@@ -218,24 +211,34 @@ def _pair_name(x: MetricVector, y: MetricVector, used: set[str]) -> str:
     return name
 
 
-def cmd_compare(args) -> int:
-    paths = [p for p in args.metrics.split(",") if p]
-    if len(paths) not in (2, 3):
-        raise CiteRankError(f"--metrics needs 2 or 3 files, got {len(paths)}")
-    vectors = [load_metric_file(p) for p in paths]
-    ks = _parse_ks(args.ks)
-    out = _out_dir(args)
+def compare_all(
+    vectors: list[MetricVector], ks: list[int], coverage: float, out: Path
+) -> dict[str, dict]:
+    """Compare every pair of vectors, write each pair's report and scatter
+    files, and return the index entry of each pair by name."""
     used: set[str] = set()
+    index: dict[str, dict] = {}
     for x, y in itertools.combinations(vectors, 2):
-        report = compare_metrics(x, y, ks=ks, coverage=args.coverage)
+        report = compare_metrics(x, y, ks=ks, coverage=coverage)
         name = _pair_name(x, y, used)
-        write_json(comparison_json(report), out / f"{name}.report.json")
-        write_scatter(x, y, out / f"{name}.scatter.tsv")
+        files = [f"{name}.report.json", f"{name}.scatter.tsv"]
+        write_json(comparison_json(report), out / files[0])
+        write_scatter(report, out / files[1])
         print(
             f"{x.metric_name} vs {y.metric_name}: "
             f"pearson_log={report.pearson_log_rho:.4f} "
             f"spearman={report.spearman_rho:.4f} n={report.n}"
         )
+        index[name] = {"files": files, **{key: getattr(report, key) for key in HEADLINE}}
+    return index
+
+
+def cmd_compare(args) -> int:
+    paths = [p for p in args.metrics.split(",") if p]
+    if len(paths) not in (2, 3):
+        raise CiteRankError(f"--metrics needs 2 or 3 files, got {len(paths)}")
+    vectors = [load_metric_file(p) for p in paths]
+    compare_all(vectors, _parse_ks(args.ks), args.coverage, _out_dir(args))
     return 0
 
 
@@ -261,12 +264,7 @@ def cmd_report(args) -> int:
     corpus = _load_corpus_args(args)
     out = _out_dir(args)
 
-    eigen_settings = EigenSettings(
-        alpha=args.alpha,
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        exclude_self=not _self_policy(args, False),
-    )
+    eigen_settings = _eigen_settings(args)
     if args.window_span is None:
         eigen_window = CitationWindow.all_years()
     else:
@@ -277,28 +275,9 @@ def cmd_report(args) -> int:
     impact = impact_factor(corpus, args.census_year)
 
     vectors = [eigen, citations, impact]
-    tables = []
-    for vector in vectors:
-        write_metric_file(vector, out / f"{vector.metric_name}.metric.json")
-        table = rank(vector, tie_policy=args.tie_policy)
-        write_rank_table(table, out / f"{vector.metric_name}.ranks.tsv", args.precision)
-        tables.append(table)
-
+    metric_files = {v.metric_name: {"files": write_ranked(v, args, out)[1]} for v in vectors}
     ks = _parse_ks(args.ks)
-    comparisons: dict[str, dict] = {}
-    scatter: dict[str, list] = {}
-    used: set[str] = set()
-    for x, y in itertools.combinations(vectors, 2):
-        report = compare_metrics(x, y, ks=ks, coverage=args.coverage)
-        name = _pair_name(x, y, used)
-        comparisons[name] = comparison_json(report)
-        scatter[name] = write_scatter(x, y, out / f"{name}.scatter.tsv")
-        write_json(comparisons[name], out / f"{name}.report.json")
-        print(
-            f"{x.metric_name} vs {y.metric_name}: "
-            f"pearson_log={report.pearson_log_rho:.4f} "
-            f"spearman={report.spearman_rho:.4f} n={report.n}"
-        )
+    comparisons = compare_all(vectors, ks, args.coverage, out)
 
     impact_omitted = sorted(set(corpus.journals) - set(impact.scores))
     bundle = {
@@ -312,7 +291,7 @@ def cmd_report(args) -> int:
                 "exclude_self": eigen_settings.exclude_self,
                 "census_year": args.census_year,
                 "tie_policy": args.tie_policy,
-                "ks": list(ks),
+                "ks": ks,
                 "coverage": args.coverage,
             },
             "windows": {
@@ -322,9 +301,8 @@ def cmd_report(args) -> int:
             },
             "omissions": {"impact_factor_zero_denominator": impact_omitted},
         },
-        "tables": [rank_table_json(t) for t in tables],
+        "metrics": metric_files,
         "comparisons": comparisons,
-        "scatter": scatter,
     }
     write_json(bundle, out / "report.json")
     print(f"report bundle written to {out / 'report.json'}")
@@ -438,6 +416,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "window_span", None) is not None and args.census_year is None:
+            parser.error("--window-span needs --census-year")
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2

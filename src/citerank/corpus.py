@@ -1,4 +1,4 @@
-"""Citation-network data model, CSV ingestion, and dataset filtering.
+"""Citation-network data model and CSV ingestion.
 
 A :class:`Corpus` holds journals (with per-year article counts) and
 aggregated citation records as int64 columns.  Records are
@@ -14,14 +14,11 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import IO, Iterable
 
 import numpy as np
 
 from .errors import CorpusError
-
-if TYPE_CHECKING:
-    from .metrics import MetricVector
 
 JOURNALS_HEADER = ["id", "name", "year", "articles"]
 CITATIONS_HEADER = ["citing", "cited", "citing_year", "cited_year", "count"]
@@ -29,7 +26,7 @@ CITATIONS_HEADER = ["citing", "cited", "citing_year", "cited_year", "count"]
 # Every count, merged count and corpus total stays at or below 2**53, so
 # float64 sums of counts are exact and int64 sums cannot wrap.
 MAX_COUNT = 2**53
-_INT64 = np.iinfo(np.int64)
+_INT64 = range(-(2**63), 2**63)
 # The integer fields numpy's loadtxt reads: ASCII digits, an optional sign,
 # surrounding whitespace.
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -295,12 +292,25 @@ def _data_rows(source: IO[str], expected: list[str], what: str):
         yield reader.line_num, row
 
 
+def _integers(row: list[str], line: int) -> list[int]:
+    """The row's fields from the third on as integers, under the grammar
+    loadtxt reads and within int64."""
+    fields = row[2:]
+    if not all(map(_INTEGER.fullmatch, fields)):
+        raise CorpusError(f"malformed numeric field in {row!r}", line=line)
+    numbers = list(map(int, fields))
+    if not all(map(_INT64.__contains__, numbers)):
+        raise CorpusError(f"numeric field outside the int64 range in {row!r}", line=line)
+    return numbers
+
+
 def _parse_journals(source: IO[str]) -> dict[str, Journal]:
     """Journal rows are `id,name,year,articles`, one per (journal, year); a row
     with empty year and articles declares a journal with no article data."""
     articles: dict[str, dict[int, int]] = {}
     names: dict[str, str] = {}
-    for line, (jid, name, year_s, articles_s) in _data_rows(source, JOURNALS_HEADER, "journals"):
+    for line, row in _data_rows(source, JOURNALS_HEADER, "journals"):
+        jid, name, year_s, articles_s = row
         if not jid:
             raise CorpusError("empty journal id", line=line)
         if jid in names:
@@ -315,14 +325,7 @@ def _parse_journals(source: IO[str]) -> dict[str, Journal]:
             articles[jid] = {}
         if year_s == "" and articles_s == "":
             continue
-        try:
-            year = int(year_s)
-            count = int(articles_s)
-        except ValueError:
-            raise CorpusError(
-                f"malformed year/articles fields {year_s!r},{articles_s!r}",
-                line=line,
-            ) from None
+        year, count = _integers(row, line)
         if count < 0:
             raise CorpusError(f"negative article count {count}", line=line)
         if count > MAX_COUNT:
@@ -387,12 +390,7 @@ def _row_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
         for line, row in _data_rows(source, CITATIONS_HEADER, "citations"):
             if unknown := [name for name in row[:2] if name not in index]:
                 raise CorpusError(f"unknown journal id {unknown[0]!r}", line=line)
-            if not all(_INTEGER.fullmatch(text) for text in row[2:]):
-                raise CorpusError(f"malformed numeric field in {row!r}", line=line)
-            numbers = [int(text) for text in row[2:]]
-            if not all(_INT64.min <= n <= _INT64.max for n in numbers):
-                raise CorpusError(f"numeric field outside the int64 range in {row!r}", line=line)
-            rows.append((index[row[0]], index[row[1]], *numbers))
+            rows.append((index[row[0]], index[row[1]], *_integers(row, line)))
             lines.append(line)
     except CorpusError as exc:
         error = exc
@@ -466,28 +464,3 @@ def write_corpus(corpus: Corpus, journals_path, citations_path) -> None:
         dump_journals(corpus, jf)
     with open(citations_path, "w", newline="", encoding="utf-8") as cf:
         dump_citations(corpus, cf)
-
-
-def filter_to_scored(
-    corpus: Corpus, required: "MetricVector"
-) -> tuple[Corpus, tuple[str, ...]]:
-    """Drop journals absent from `required`, and their citations.
-
-    Returns the filtered corpus and the sorted ids that were removed.
-    Idempotent; an empty result is legal.
-    """
-    keep = np.array([jid in required.scores for jid in corpus.ids], dtype=bool)
-    removed = tuple(jid for jid, kept in zip(corpus.ids, keep) if not kept)
-    if not removed:
-        return corpus, ()
-    journals = {jid: corpus.journals[jid] for jid, kept in zip(corpus.ids, keep) if kept}
-    position = np.cumsum(keep) - 1
-    rows = keep[corpus.citing] & keep[corpus.cited]
-    return Corpus(
-        journals,
-        position[corpus.citing[rows]],
-        position[corpus.cited[rows]],
-        corpus.citing_year[rows],
-        corpus.cited_year[rows],
-        corpus.count[rows],
-    ), removed

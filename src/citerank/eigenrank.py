@@ -14,10 +14,6 @@ redistributed weight.  Final scores are percentages of weighted citation
 flow received, with the teleportation term excluded from the last pass:
 
     score = 100 * (H p + (dangling mass) * a) / sum(...)
-
-A dense brute-force oracle (`dense_oracle_scores`) materializes the full
-damped transition matrix and runs a fixed 10,000 multiplications; it exists
-to cross-check the sparse path on desk-scale instances.
 """
 
 from __future__ import annotations
@@ -30,9 +26,6 @@ import scipy.sparse as sp
 from .corpus import CitationWindow, Corpus
 from .errors import ConvergenceError, MatrixBuildError
 from .metrics import MetricVector
-
-DENSE_ORACLE_MAX_ORDER = 64
-DENSE_ORACLE_MULTIPLICATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -51,26 +44,6 @@ class EigenSettings:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
-@dataclass(frozen=True)
-class ArticleVector:
-    """Each journal's share of the articles published in the window; sums to 1."""
-
-    weights: dict[str, float]
-
-    def __post_init__(self):
-        total = float(np.sum(np.fromiter(self.weights.values(), dtype=float, count=len(self.weights))))
-        if self.weights and abs(total - 1.0) > 1e-12:
-            raise MatrixBuildError(f"article shares must sum to 1, got {total!r}")
-        for jid, w in self.weights.items():
-            if not 0.0 <= w <= 1.0:
-                raise MatrixBuildError(f"article share for {jid!r} out of [0, 1]: {w!r}")
-
-    def aligned(self, ids: tuple[str, ...]) -> np.ndarray:
-        if set(ids) != set(self.weights):
-            raise MatrixBuildError("article vector and matrix index journals differ")
-        return np.array([self.weights[jid] for jid in ids], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +65,9 @@ def build_matrix(
     corpus: Corpus,
     window: CitationWindow | None = None,
     exclude_self: bool = True,
-) -> tuple[CrossCitationMatrix, ArticleVector]:
-    """Form the normalized cross-citation matrix and article-share vector.
+) -> tuple[CrossCitationMatrix, np.ndarray]:
+    """Form the normalized cross-citation matrix and the article-share vector,
+    each journal's fraction of the window's articles in `journal_ids` order.
 
     Raw weight (i, j) sums counts from citing journal j to cited journal i
     over the window; each column with any weight is scaled to sum to 1,
@@ -126,9 +100,6 @@ def build_matrix(
             "no journal has a positive article count in the window; "
             "cannot form the article-share vector"
         )
-    shares = raw / total_articles
-    articles = ArticleVector({jid: float(shares[i]) for i, jid in enumerate(ids)})
-
     xcite = CrossCitationMatrix(
         journal_ids=ids,
         matrix=matrix,
@@ -136,20 +107,12 @@ def build_matrix(
         exclude_self=exclude_self,
         window_label=window.describe(),
     )
-    return xcite, articles
-
-
-def _normalized_flow(
-    matrix: CrossCitationMatrix, p: np.ndarray, a: np.ndarray
-) -> np.ndarray:
-    """Final scoring pass: weighted in-citation share, teleportation excluded."""
-    flow = matrix.matrix @ p + p[matrix.dangling].sum() * a
-    return 100.0 * flow / flow.sum()
+    return xcite, raw / total_articles
 
 
 def eigen_scores(
     matrix: CrossCitationMatrix,
-    articles: ArticleVector,
+    articles: np.ndarray,
     settings: EigenSettings = EigenSettings(),
 ) -> MetricVector:
     """Damped power iteration from the article vector until the L1 residual
@@ -158,7 +121,7 @@ def eigen_scores(
     Raises ConvergenceError (with the final residual) if max_iterations
     pass without convergence.
     """
-    a = articles.aligned(matrix.journal_ids)
+    a = articles
     H = matrix.matrix
     dangling = matrix.dangling
     alpha = settings.alpha
@@ -174,47 +137,13 @@ def eigen_scores(
     else:
         raise ConvergenceError(settings.max_iterations, residual, settings.tolerance)
 
-    scores = _normalized_flow(matrix, p, a)
+    # Final scoring pass: weighted in-citation share, teleportation excluded.
+    flow = H @ p + p[dangling].sum() * a
+    scores = 100.0 * flow / flow.sum()
     provenance = (
         f"eigenfactor alpha={settings.alpha} tolerance={settings.tolerance} "
         f"iterations={iterations} exclude_self={matrix.exclude_self} "
         f"window=[{matrix.window_label}]"
-    )
-    return MetricVector(
-        "eigenfactor",
-        {jid: float(scores[i]) for i, jid in enumerate(matrix.journal_ids)},
-        provenance,
-    )
-
-
-def dense_oracle_scores(
-    matrix: CrossCitationMatrix,
-    articles: ArticleVector,
-    settings: EigenSettings = EigenSettings(),
-) -> MetricVector:
-    """Brute-force reference: explicit dense damped matrix, 10,000
-    multiplications from the uniform vector, then the same scoring pass.
-
-    Only for desk-scale checks (order <= 64); no sparse shortcuts.
-    """
-    n = matrix.order
-    if n > DENSE_ORACLE_MAX_ORDER:
-        raise MatrixBuildError(
-            f"dense oracle limited to order <= {DENSE_ORACLE_MAX_ORDER}, got {n}"
-        )
-    a = articles.aligned(matrix.journal_ids)
-    H = matrix.matrix.toarray()
-    H[:, matrix.dangling] = a[:, None]
-    P = settings.alpha * H + (1.0 - settings.alpha) * np.outer(a, np.ones(n))
-    p = np.full(n, 1.0 / n)
-    for _ in range(DENSE_ORACLE_MULTIPLICATIONS):
-        p = P @ p
-    flow = H @ p  # H already carries the dangling replacement
-    scores = 100.0 * flow / flow.sum()
-    provenance = (
-        f"eigenfactor alpha={settings.alpha} dense reference "
-        f"({DENSE_ORACLE_MULTIPLICATIONS} multiplications) "
-        f"exclude_self={matrix.exclude_self} window=[{matrix.window_label}]"
     )
     return MetricVector(
         "eigenfactor",

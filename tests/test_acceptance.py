@@ -2,8 +2,8 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
 criterion inline.  Tolerances are stated next to each assertion; the
-oracle implementations here are written from the definitions and share no
-code with the library.
+oracle implementations, here and in `dense_oracle.py`, are written from the
+definitions and share no code with the library.
 """
 
 import contextlib
@@ -22,16 +22,12 @@ from citerank.compare import (
     spearman,
 )
 from citerank.corpus import write_corpus
-from citerank.eigenrank import (
-    EigenSettings,
-    build_matrix,
-    dense_oracle_scores,
-    eigen_scores,
-)
+from citerank.eigenrank import EigenSettings, build_matrix, eigen_scores
 from citerank.metrics import MetricVector, impact_factor
 from citerank.syngen import GenSettings, generate
 
 from conftest import build_corpus, citation_dict, seeded_corpus
+from dense_oracle import dense_oracle_scores
 
 
 @contextlib.contextmanager

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from citerank import compare
 from citerank.cli import load_metric_file, main, write_metric_file
 from citerank.compare import concentration
 from citerank.corpus import load_corpus
@@ -175,6 +176,14 @@ def test_rank_unknown_method_is_usage_error(tmp_path, toy_paths, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_rank_window_span_needs_census_year(tmp_path, toy_paths, capsys):
+    code = run_cli("rank", *corpus_args(toy_paths), "--method", "eigenfactor",
+                   "--window-span", "2", "--out", tmp_path / "o")
+    assert code == 2
+    assert "--window-span needs --census-year" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -253,13 +262,29 @@ def test_compare_needs_two_or_three_files(tmp_path, data_dir, capsys):
     assert "2 or 3 files" in capsys.readouterr().err
 
 
-def test_compare_rejects_malformed_metric_file(tmp_path, capsys):
+@pytest.mark.parametrize("payload, fragment", [
+    ('{"scores": {"a": 1.0}}', "not a metric file"),
+    ('{"metric_name": "custom", "scores": [1, 2]}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": "scores"}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": null}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": {"a": null}}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": {"a": "1.5"}}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": {"a": true}}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": {"a": [1]}}', "scores must map journal ids to numbers"),
+    ('{"metric_name": "custom", "scores": {"a": 1e999}}', "must be finite"),
+    ('{"metric_name": "custom", "scores": {"a": 1' + "0" * 400 + "}}", "too large"),
+    ('{"metric_name": "h_index", "scores": {"a": 1}}', "metric_name must be one of"),
+])
+def test_compare_rejects_malformed_metric_file(tmp_path, payload, fragment, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"scores": {"a": 1.0}}\n')
+    bad.write_text(payload + "\n")
     good = tmp_path / "good.json"
     write_metric_file(MetricVector("custom", {"a": 1.0, "b": 2.0, "c": 3.0}, ""), good)
     assert run_cli("compare", "--metrics", f"{bad},{good}", "--out", tmp_path / "o") == 1
-    assert "not a metric file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"citerank: error: {bad}: ")
+    assert fragment in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +363,45 @@ def test_report_bundle_on_toy_corpus(tmp_path, toy_paths):
     assert bundle["metadata"]["tool"] == "citerank"
     assert bundle["metadata"]["settings"]["census_year"] == 2006
     assert bundle["metadata"]["omissions"]["impact_factor_zero_denominator"] == ["omega"]
-    assert {t["metric_name"] for t in bundle["tables"]} == {
-        "eigenfactor", "total_citations", "impact_factor",
+    assert set(bundle) == {"metadata", "metrics", "comparisons"}
+    assert bundle["metrics"] == {
+        name: {"files": [f"{name}.metric.json", f"{name}.ranks.tsv"]}
+        for name in ("eigenfactor", "total_citations", "impact_factor")
     }
     assert set(bundle["comparisons"]) == {
         "eigenfactor_vs_total_citations",
         "eigenfactor_vs_impact_factor",
         "total_citations_vs_impact_factor",
     }
-    # every scatter journal appears in the corresponding rank tables
-    tables = {t["metric_name"]: {row[0] for row in t["rows"]} for t in bundle["tables"]}
-    for pair, rows in bundle["scatter"].items():
-        x_name, y_name = pair.split("_vs_")
-        for jid, _, _ in rows:
-            assert jid in tables[x_name] and jid in tables[y_name]
+    # the index lists every other file written, and nothing else
+    listed = [name for group in ("metrics", "comparisons")
+              for entry in bundle[group].values() for name in entry["files"]]
+    assert sorted(listed + ["report.json"]) == names
+    # the index repeats each pair's headline numbers from its report file
+    for name, entry in bundle["comparisons"].items():
+        assert entry["files"] == [f"{name}.report.json", f"{name}.scatter.tsv"]
+        pair = json.loads((out / f"{name}.report.json").read_text())
+        assert {key: entry[key] for key in ("pearson_log_rho", "spearman_rho", "n")} == {
+            key: pair[key] for key in ("pearson_log_rho", "spearman_rho", "n")
+        }
+
+
+def test_report_pairs_each_metric_pair_once(tmp_path, toy_paths, monkeypatch):
+    calls = []
+    paired = compare._paired
+
+    def counted(x, y):
+        calls.append((x.metric_name, y.metric_name))
+        return paired(x, y)
+
+    monkeypatch.setattr(compare, "_paired", counted)
+    assert run_cli("report", *corpus_args(toy_paths), "--census-year", "2006",
+                   "--out", tmp_path / "r") == 0
+    assert calls == [
+        ("eigenfactor", "total_citations"),
+        ("eigenfactor", "impact_factor"),
+        ("total_citations", "impact_factor"),
+    ]
 
 
 def test_report_rerun_is_byte_identical(tmp_path, toy_paths):

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import rankdata
+
 from citerank.compare import (
     EllipseParams,
     RankRow,
-    average_ranks,
+    _descending_ranks,
     compare_metrics,
     concentration,
     density_ellipse,
@@ -164,8 +166,20 @@ def test_spearman_rejects_constant_input():
         spearman(x, y)
 
 
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 7.0]), max_size=30),
+       st.sampled_from(["min", "average"]))
+def test_descending_ranks_match_scipy_rankdata(values, tie_policy):
+    values = np.array(values, dtype=float)
+    ranks = _descending_ranks(values, tie_policy)
+    expected = rankdata(-values, method=tie_policy)
+    assert ranks.tolist() == expected.tolist()
+    assert ranks.dtype.kind == expected.dtype.kind
+
+
 def test_average_ranks_with_ties():
-    assert average_ranks(np.array([7.0, 1.0, 7.0, 3.0])).tolist() == [1.5, 4.0, 1.5, 3.0]
+    table = rank(vec({"a": 7.0, "b": 1.0, "c": 7.0, "d": 3.0}), tie_policy="average")
+    ranks = {row.journal: row.rank for row in table.rows}
+    assert [ranks[jid] for jid in "abcd"] == [1.5, 4.0, 1.5, 3.0]
 
 
 score_pool = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 10.0])

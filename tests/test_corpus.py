@@ -1,4 +1,4 @@
-"""Corpus model, CSV parsing, serialization round-trips, and filtering."""
+"""Corpus model, CSV parsing and serialization round-trips."""
 
 import csv
 import io
@@ -17,11 +17,9 @@ from citerank.corpus import (
     _row_columns,
     dump_citations,
     dump_journals,
-    filter_to_scored,
     parse_corpus,
 )
 from citerank.errors import CorpusError
-from citerank.metrics import MetricVector
 from citerank.syngen import GenSettings, generate
 
 from conftest import build_corpus, citation_dict, citation_rows, corpus_from
@@ -148,6 +146,12 @@ def test_parse_citation_grammar(citations_text, expected):
     assert citation_dict(parse_strings(JOURNALS_3 + declared.getvalue(), citations_text)) == expected
 
 
+@pytest.mark.parametrize("year, articles", [(" 2005 ", "10"), ("2005", "+10"), ("02005", "010")])
+def test_parse_journal_grammar(year, articles):
+    corpus = parse_strings(f"id,name,year,articles\na,Alpha,{year},{articles}\n", "")
+    assert corpus.journals["a"].articles_by_year == {2005: 10}
+
+
 FIELD_TEXTS = st.sampled_from([
     "a", "b", "zz", "", " a", '"a"', '"a"x', 'a"', '"a,b"', "1", "2005", "2006", " 7 ",
     "+3", "-1", "0", "007", "1_0", "1.0", "0x1", "\t2\x0c", '"5"', "5\n", "9" * 19,
@@ -190,6 +194,12 @@ def test_loadtxt_and_row_loop_agree(header_ending, rows, tail):
         ("id,name,year,articles\na,Alpha,2006,1\na,Alias,2005,2\n", 3, "conflicting names"),
         ("id,name,year,articles\na,Alpha,2006,1\na,Alpha,2006,2\n", 3, "duplicate journal id"),
         ("id,name,year,articles\na,Alpha,two-thousand,1\n", 2, "malformed"),
+        # journals.csv reads year and articles with the citations grammar
+        ("id,name,year,articles\na,Alpha,2_005,1\n", 2, "malformed"),
+        ("id,name,year,articles\na,Alpha,2005,1_0\n", 2, "malformed"),
+        ("id,name,year,articles\na,Alpha,\u0662\u0660\u0660\u0665,1\n", 2, "malformed"),
+        ("id,name,year,articles\na,Alpha,2005,1.0\n", 2, "malformed"),
+        ("id,name,year,articles\na,Alpha,9223372036854775808,1\n", 2, "int64 range"),
         ("id,name,year,articles\na,Alpha,2006,-1\n", 2, "negative article count"),
         ("id,name,year,articles\na,Alpha,2006,9007199254740993\n", 2, "above 2**53"),
     ],
@@ -443,51 +453,3 @@ def test_merge_order_independent(corpus, rnd):
     rebuilt = corpus_from(corpus.journals.values(), records)
     assert rebuilt == corpus
     assert rebuilt.total_count() == corpus.total_count()
-
-
-# ---------------------------------------------------------------------------
-# filtering to scored journals
-
-
-def metric_over(ids):
-    return MetricVector("custom", {jid: 1.0 for jid in ids}, "test stub")
-
-
-def test_filter_identity(toy_corpus):
-    filtered, removed = filter_to_scored(toy_corpus, metric_over(toy_corpus.journals))
-    assert filtered == toy_corpus
-    assert removed == ()
-
-
-def test_filter_annihilation(toy_corpus):
-    filtered, removed = filter_to_scored(toy_corpus, metric_over([]))
-    assert filtered.n_journals == 0
-    assert citation_dict(filtered) == {}
-    assert removed == tuple(sorted(toy_corpus.journals))
-
-
-def test_filter_drops_journals_and_their_citations(toy_corpus):
-    keep = metric_over(["alpha", "beta", "gamma", "delta"])
-    filtered, removed = filter_to_scored(toy_corpus, keep)
-    assert removed == ("omega",)
-    assert set(filtered.journals) == {"alpha", "beta", "gamma", "delta"}
-    for citing, cited, _, _ in citation_dict(filtered):
-        assert "omega" not in (citing, cited)
-    # only the alpha->omega edge is lost
-    assert filtered.total_count() == toy_corpus.total_count() - 3
-
-
-def test_filter_is_idempotent(toy_corpus):
-    keep = metric_over(["alpha", "beta"])
-    once, removed_once = filter_to_scored(toy_corpus, keep)
-    twice, removed_twice = filter_to_scored(once, keep)
-    assert twice == once
-    assert removed_once == ("delta", "gamma", "omega")
-    assert removed_twice == ()
-
-
-def test_filter_ignores_metric_ids_outside_corpus(toy_corpus):
-    keep = metric_over(list(toy_corpus.journals) + ["elsewhere"])
-    filtered, removed = filter_to_scored(toy_corpus, keep)
-    assert filtered == toy_corpus
-    assert removed == ()

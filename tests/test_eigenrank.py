@@ -1,7 +1,7 @@
 """Cross-citation matrix construction and the damped power iteration.
 
 The sparse iteration (`eigen_scores`) and the dense brute-force reference
-(`dense_oracle_scores`) are independent routes to the same fixed point;
+(`dense_oracle_scores`, in `dense_oracle.py`) are independent routes to the same fixed point;
 several tests here assert their agreement rather than hand-computed
 values.
 """
@@ -12,17 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citerank.corpus import CitationWindow, Corpus, Journal
-from citerank.eigenrank import (
-    DENSE_ORACLE_MAX_ORDER,
-    ArticleVector,
-    EigenSettings,
-    build_matrix,
-    dense_oracle_scores,
-    eigen_scores,
-)
+from citerank.eigenrank import EigenSettings, build_matrix, eigen_scores
 from citerank.errors import ConvergenceError, MatrixBuildError
 
 from conftest import build_corpus, citation_dict, seeded_corpus
+from dense_oracle import DENSE_ORACLE_MAX_ORDER, dense_oracle_scores
 
 
 def mutual_pair():
@@ -46,7 +40,7 @@ def test_build_matrix_mutual_pair():
     matrix, articles = build_matrix(mutual_pair())
     assert matrix.journal_ids == ("A", "B")
     assert matrix.matrix.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert articles.weights == {"A": 0.5, "B": 0.5}
+    assert articles.tolist() == [0.5, 0.5]
     assert not matrix.dangling.any()
 
 
@@ -93,7 +87,7 @@ def test_build_matrix_window_restricts_edges():
     dangling_ids = [jid for jid, d in zip(matrix.journal_ids, matrix.dangling) if d]
     assert dangling_ids == ["B"]
     # article shares come from the window's publication years (2005 only)
-    assert articles.weights == {"A": 5 / 11, "B": 6 / 11}
+    assert articles.tolist() == [5 / 11, 6 / 11]
 
 
 def test_build_matrix_requires_journals():
@@ -119,7 +113,7 @@ def test_build_matrix_column_stochastic_property(seed):
         else:
             assert abs(sums[j] - 1.0) <= 1e-12
     assert ((dense >= 0.0) & (dense <= 1.0)).all()
-    assert abs(sum(articles.weights.values()) - 1.0) <= 1e-12
+    assert abs(sum(articles.tolist()) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +133,6 @@ def test_build_matrix_column_stochastic_property(seed):
 def test_eigen_settings_validation(kwargs):
     with pytest.raises(ValueError):
         EigenSettings(**kwargs)
-
-
-def test_article_vector_must_sum_to_one():
-    with pytest.raises(MatrixBuildError, match="sum to 1"):
-        ArticleVector({"A": 0.7, "B": 0.7})
-
-
-def test_article_vector_alignment_requires_same_journals():
-    vector = ArticleVector({"A": 0.5, "B": 0.5})
-    with pytest.raises(MatrixBuildError, match="differ"):
-        vector.aligned(("A", "C"))
 
 
 # ---------------------------------------------------------------------------
