@@ -6,12 +6,22 @@ implementation (numpy 2.4, scipy 1.17), so a rewrite of the corpus layer
 must reproduce every byte that `gen` and `report` wrote before it.  The
 two `report.json` digests were recorded again when that file became an
 index of the other files; every other digest is the original.
+
+The `rank`, `ingest` and script digests were recorded before the journal
+axis became columnar (journals.csv parsed into columns, metric vectors held
+as score arrays); they cover the files and the printed output of every
+other command whose writers that rewrite touched.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
+import pytest
+
 from citerank.cli import main
+
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 GEN_ARGS = ["--journals", "300", "--mean-out", "20", "--seed", "3"]
 
@@ -74,3 +84,108 @@ def test_gen_and_report_match_recorded_digests(tmp_path, capsys):
 
 def test_toy_report_matches_recorded_digests(tmp_path, toy_paths, capsys):
     assert report(*toy_paths, tmp_path / "toy") == TOY_REPORT_DIGESTS
+
+
+RANK_ARGS = {
+    "eigenfactor": ["--method", "eigenfactor", "--census-year", "2006"],
+    "citations": ["--method", "citations", "--top", "0"],
+    "impact-factor": ["--method", "impact-factor", "--census-year", "2006"],
+}
+
+RANK_DIGESTS = {
+    ("toy", "eigenfactor"): {
+        "eigenfactor.metric.json": "8fc42840f4cdb0b2130e520c4927d5b6fd0ddace719abd73bf362b5e04f2ca78",
+        "eigenfactor.ranks.tsv": "d57a97805e82720ca2b0f406cb6cb1140753df774f2e2139ed2155614b4b704c",
+        "stdout": "b9c4408806ff094aa38f9008cde7ee69300789b67c7a5c50bebcb7411eb64616",
+    },
+    ("toy", "citations"): {
+        "total_citations.metric.json": "1f937ca0692f2338de98577e2ec8b91bcab8d02b2e61ec49cca0f15e8f49fcdf",
+        "total_citations.ranks.tsv": "5fa853eff76e53773ed1e9a6c98513f2f91a85211758ab0224c7ee28c05b3dd5",
+        "stdout": "4092777e4fbe065720db485ab37af8d3faee6da51c2d1ff9bc5d50006e7d5739",
+    },
+    ("toy", "impact-factor"): {
+        "impact_factor.metric.json": "cd8633fd3bb8fea5f1b41ddb930c8594eac0782dc8c21323b1ab82cc6c3435f8",
+        "impact_factor.ranks.tsv": "f9a9275598ecc2736705d10cdae88bf2add7025cdf752c03e03486eddb1a693b",
+        "stdout": "9411ec57e969753052ea8d30b4fc775e92ac91d13f9f5539f4ebeb84d93ffae5",
+    },
+    ("gen", "eigenfactor"): {
+        "eigenfactor.metric.json": "75f2c4f0cb1b29e588743bf47c2145d6e246bc5f22e8e810ff217ffb496125a5",
+        "eigenfactor.ranks.tsv": "79f628ebcba957b570d2fd374ac99e3f831b5ed073df30953535a2d9ace02c73",
+        "stdout": "4f7cf192d775b074a4f3b808c6a79497f829f78dfc431fa31da400f1e6754514",
+    },
+    ("gen", "citations"): {
+        "total_citations.metric.json": "df08cb16f8a959b14e3c880e28cb51742ef456136ff673b0a6397fc3e7cab6c4",
+        "total_citations.ranks.tsv": "7a86597c68bfb92e2b800c68442336e44cb7be39df58092c4e5644188123da54",
+        "stdout": "df8066a99ba4bbac69afe3718ac23e61af54946181faa4b89e351b03fc70f31f",
+    },
+    ("gen", "impact-factor"): {
+        "impact_factor.metric.json": "3666b5c9aae32676bce7e49c18ac5023092cbd44564c9df237ec5828f19ed11f",
+        "impact_factor.ranks.tsv": "e73b13bbb010b06977a6c41bae591da7782f2a05b0335b196ca07b3f523419d4",
+        "stdout": "5847568a8ea7a4388fa7390b7470024e6bf3a2a89dbee84a53c290d8fd5a8030",
+    },
+}
+
+INGEST_DIGESTS = {
+    "toy": {
+        "citations.csv": "93c289ff4baefbda2ee4bad71ef3e3d3437e46ed856521efd766fb0de261c364",
+        "ingest.json": "40fec46e4aa7d368ffb2a163e5d34c6f0838671190a27c8cfd809a54ea7b2cf2",
+        "journals.csv": "b9ffa9f05900568f77f83b2dcf8fb5a002ae024fb987c6a733074b814de12097",
+        "stdout": "f663d890617394e850ffc9c4bbcfde0222cf722330ed2584a6759576e7786a4d",
+    },
+    "gen": {
+        "citations.csv": "c9adb5e1b60d70677cf5fead5c8bed33e4c821f1b9769ff32ed8a138e3e0448a",
+        "ingest.json": "50fb143cad69a407e6a66d95c3bc6f417deddbe722655575f88771426d746fa4",
+        "journals.csv": "185cd9444296da4a44c3e1df090c175be2523596919c552c69f04ee188df5ca4",
+        "stdout": "b81e69ae4954b1d7ccfd520e868dc3626ded7c6d586f80e853c347873e4db9fc",
+    },
+}
+
+SCRIPT_DIGESTS = {
+    ("medicine2006_top20.py", ()): "845a945b6511551603f228b1ffbd3c04aef10fc6e0feeb74fc8be8dc583f0d2f",
+    ("skew_sweep.py", ("--seeds", "1")): "7618ceaa17b0e55bbb6b821e6c185d9853353205f5f51ef4b8006748a7d36995",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory, toy_paths):
+    gen = tmp_path_factory.mktemp("gen")
+    assert main(["gen", *GEN_ARGS, "--out", str(gen)]) == 0
+    return {"toy": toy_paths, "gen": (gen / "journals.csv", gen / "citations.csv")}
+
+
+def run_digests(capsys, out: Path, *argv) -> dict[str, str]:
+    """Digests of the files a command writes to `out`, plus its stdout."""
+    capsys.readouterr()
+    assert main([*map(str, argv), "--out", str(out)]) == 0
+    return digests(out) | {"stdout": sha256(capsys.readouterr().out)}
+
+
+@pytest.mark.parametrize("corpus, method", sorted(RANK_DIGESTS))
+def test_rank_matches_recorded_digests(corpus, method, corpora, tmp_path, capsys):
+    journals, citations = corpora[corpus]
+    assert run_digests(
+        capsys, tmp_path / "rank", "rank", "--journals", journals, "--citations", citations,
+        *RANK_ARGS[method],
+    ) == RANK_DIGESTS[corpus, method]
+
+
+@pytest.mark.parametrize("corpus", sorted(INGEST_DIGESTS))
+def test_ingest_matches_recorded_digests(corpus, corpora, tmp_path, capsys):
+    journals, citations = corpora[corpus]
+    assert run_digests(
+        capsys, tmp_path / "ingest", "ingest", "--journals", journals, "--citations", citations,
+    ) == INGEST_DIGESTS[corpus]
+
+
+@pytest.mark.parametrize("script, argv", sorted(SCRIPT_DIGESTS))
+def test_script_output_matches_recorded_digest(script, argv, capsys):
+    spec = importlib.util.spec_from_file_location(Path(script).stem, SCRIPTS_DIR / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    capsys.readouterr()
+    module.main(list(argv))
+    assert sha256(capsys.readouterr().out) == SCRIPT_DIGESTS[script, argv]
