@@ -32,12 +32,11 @@ def main(argv=None):
         for name, filename in FILES.items()
     }
     tables = {name: rank(vector, "min") for name, vector in vectors.items()}
-    ranks = {name: {row.journal: row.rank for row in table.rows} for name, table in tables.items()}
+    ranks = {name: dict(zip(table.journals, table.ranks.tolist())) for name, table in tables.items()}
 
     eigen = vectors["eigenfactor"]
     print(f"{'journal':<22} {'eigen':>8} {'rank':>4} {'cites':>7} {'rank':>4} {'IF':>7} {'rank':>4}")
-    for row in tables["eigenfactor"].rows:
-        jid = row.journal
+    for jid in tables["eigenfactor"].journals:
         print(
             f"{jid:<22} {eigen.scores[jid]:>8.4f} {ranks['eigenfactor'][jid]:>4}"
             f" {vectors['total_citations'].scores[jid]:>7.0f} {ranks['total_citations'][jid]:>4}"

@@ -24,7 +24,6 @@ from .compare import (
 from .corpus import (
     CitationWindow,
     Corpus,
-    Journal,
     load_corpus,
     parse_corpus,
     write_corpus,
@@ -58,7 +57,6 @@ __all__ = [
     "EigenSettings",
     "EllipseParams",
     "GenSettings",
-    "Journal",
     "MatrixBuildError",
     "MetricError",
     "MetricVector",

@@ -32,14 +32,15 @@ METHODS = ("eigenfactor", "citations", "impact-factor")
 
 
 def write_json(obj, path: Path) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def write_metric_file(vector: MetricVector, path: Path) -> None:
-    """The vector's three fields: metric_name, provenance and scores."""
-    write_json(vars(vector), path)
+    """The vector's metric_name, provenance and scores."""
+    write_json({"metric_name": vector.metric_name, "provenance": vector.provenance,
+                "scores": dict(vector.scores)}, path)
 
 
 def load_metric_file(path) -> MetricVector:
@@ -52,32 +53,30 @@ def load_metric_file(path) -> MetricVector:
     if not isinstance(scores, dict) or not all(type(v) in (int, float) for v in scores.values()):
         raise CiteRankError(f"{path}: scores must map journal ids to numbers")
     try:
-        return MetricVector(
-            metric_name=payload["metric_name"],
-            scores={jid: float(v) for jid, v in scores.items()},
-            provenance=payload.get("provenance", ""),
+        return MetricVector.from_scores(
+            payload["metric_name"], scores, payload.get("provenance", "")
         )
     except (MetricError, OverflowError) as exc:
         raise CiteRankError(f"{path}: {exc}") from None
 
 
-def format_score(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+def _rank_rows(table: RankTable, rows: slice, row_format: str) -> str:
+    """The table's rows in `rows`, each formatted from (rank, journal, score)."""
+    return "".join(map(row_format.format, table.ranks[rows].tolist(), table.journals[rows],
+                       table.scores[rows].tolist()))
 
 
 def write_rank_table(table: RankTable, path: Path, precision: int) -> None:
+    text = _rank_rows(table, slice(None), f"{{:g}}\t{{}}\t{{:.{precision}g}}\n")
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("rank\tjournal\tscore\n")
-        for row in table.rows:
-            f.write(f"{row.rank:g}\t{row.journal}\t{format_score(row.score, precision)}\n")
+        f.write("rank\tjournal\tscore\n" + text)
 
 
 def print_rank_table(table: RankTable, top: int, precision: int, out: IO[str]) -> None:
-    rows = table.rows[:top] if top > 0 else table.rows
-    width = max([len("journal")] + [len(r.journal) for r in rows])
-    out.write(f"{'rank':>6}  {'journal':<{width}}  score ({table.metric_name})\n")
-    for row in rows:
-        out.write(f"{row.rank:>6g}  {row.journal:<{width}}  {format_score(row.score, precision)}\n")
+    rows = slice(top if top > 0 else None)
+    width = max([len("journal"), *map(len, table.journals[rows])])
+    text = _rank_rows(table, rows, f"{{:>6g}}  {{:<{width}}}  {{:.{precision}g}}\n")
+    out.write(f"{'rank':>6}  {'journal':<{width}}  score ({table.metric_name})\n" + text)
 
 
 # The statistics a pair's entry in report.json repeats from its report file.
@@ -93,10 +92,9 @@ def comparison_json(report: ComparisonReport) -> dict:
 def write_scatter(report: ComparisonReport, path: Path) -> None:
     """Tab-separated (journal, log10 x, log10 y) for the positive common pairs."""
     ids, lx, ly = report.scatter
+    text = "".join(map("{}\t{!r}\t{!r}\n".format, ids, lx.tolist(), ly.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(f"journal\tlog10_{report.x_name}\tlog10_{report.y_name}\n")
-        for jid, a, b in zip(ids, lx.tolist(), ly.tolist()):
-            f.write(f"{jid}\t{a!r}\t{b!r}\n")
+        f.write(f"journal\tlog10_{report.x_name}\tlog10_{report.y_name}\n" + text)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +139,11 @@ def compute_metric(corpus: Corpus, method: str, args) -> MetricVector:
         matrix, articles = build_matrix(corpus, window, exclude_self=settings.exclude_self)
         return eigen_scores(matrix, articles, settings)
     raise CiteRankError(f"unknown method {method!r}")
+
+
+def _unscored(corpus: Corpus, vector: MetricVector) -> list[str]:
+    """The corpus journals the vector has no score for, sorted."""
+    return sorted(set(corpus.ids).difference(vector.ids))
 
 
 def _load_corpus_args(args) -> Corpus:
@@ -194,7 +197,7 @@ def cmd_rank(args) -> int:
     vector = compute_metric(corpus, args.method, args)
     table, _ = write_ranked(vector, args, out)
     print_rank_table(table, args.top, args.precision, sys.stdout)
-    omitted = sorted(set(corpus.journals) - set(vector.scores))
+    omitted = _unscored(corpus, vector)
     if omitted:
         print(f"omitted ({len(omitted)} journals without a score): {', '.join(omitted)}")
     return 0
@@ -238,7 +241,7 @@ def cmd_compare(args) -> int:
     if len(paths) not in (2, 3):
         raise CiteRankError(f"--metrics needs 2 or 3 files, got {len(paths)}")
     vectors = [load_metric_file(p) for p in paths]
-    compare_all(vectors, _parse_ks(args.ks), args.coverage, _out_dir(args))
+    compare_all(vectors, args.ks, args.coverage, _out_dir(args))
     return 0
 
 
@@ -276,10 +279,8 @@ def cmd_report(args) -> int:
 
     vectors = [eigen, citations, impact]
     metric_files = {v.metric_name: {"files": write_ranked(v, args, out)[1]} for v in vectors}
-    ks = _parse_ks(args.ks)
-    comparisons = compare_all(vectors, ks, args.coverage, out)
+    comparisons = compare_all(vectors, args.ks, args.coverage, out)
 
-    impact_omitted = sorted(set(corpus.journals) - set(impact.scores))
     bundle = {
         "metadata": {
             "tool": "citerank",
@@ -291,7 +292,7 @@ def cmd_report(args) -> int:
                 "exclude_self": eigen_settings.exclude_self,
                 "census_year": args.census_year,
                 "tie_policy": args.tie_policy,
-                "ks": ks,
+                "ks": args.ks,
                 "coverage": args.coverage,
             },
             "windows": {
@@ -299,7 +300,7 @@ def cmd_report(args) -> int:
                 "total_citations": "all-years",
                 "impact_factor": f"census_year={args.census_year} span=2",
             },
-            "omissions": {"impact_factor_zero_denominator": impact_omitted},
+            "omissions": {"impact_factor_zero_denominator": _unscored(corpus, impact)},
         },
         "metrics": metric_files,
         "comparisons": comparisons,
@@ -324,11 +325,20 @@ def _parse_years(text: str) -> tuple[int, int]:
         raise CiteRankError(f"--years must look like 2002:2006, got {text!r}") from None
 
 
-def _parse_ks(text: str) -> list[int]:
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        value = int(text)
     except ValueError:
-        raise CiteRankError(f"--ks must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _ks(text: str) -> list[int]:
+    """argparse type: comma-separated integers, each >= 1."""
+    return [_at_least_one(part) for part in text.split(",") if part]
 
 
 def _add_corpus_flags(sub) -> None:
@@ -351,15 +361,15 @@ def _add_rank_flags(sub, census_required: bool = False) -> None:
                      help="drop self-citations")
     sub.add_argument("--top", type=int, default=20, help="rows to print (default 20)")
     sub.add_argument("--tie-policy", choices=("average", "min"), default="min")
-    sub.add_argument("--precision", type=int, default=6,
+    sub.add_argument("--precision", type=_at_least_one, default=6,
                      help="significant digits in printed tables (default 6)")
 
 
 def _add_compare_flags(sub) -> None:
     sub.add_argument("--coverage", type=float, default=0.95,
                      help="ellipse coverage probability (default 0.95)")
-    sub.add_argument("--ks", default="1,5,10",
-                     help="comma-separated k values for concentration shares")
+    sub.add_argument("--ks", type=_ks, default="1,5,10",
+                     help="comma-separated k values (each >= 1) for concentration shares")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,6 +428,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "window_span", None) is not None and args.census_year is None:
             parser.error("--window-span needs --census-year")
+        if getattr(args, "method", None) == "impact-factor" and (
+            args.window_span is not None or args.include_self is not None
+        ):
+            parser.error("--window-span, --include-self and --exclude-self do not apply "
+                         "to --method impact-factor")
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,22 +19,19 @@ from .errors import ComparisonError
 from .metrics import MetricVector
 
 
-class RankRow(NamedTuple):
-    journal: str
-    score: float
-    rank: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankTable:
     """Journals ordered by score (descending, ties by id) with explicit ranks.
 
-    tie_policy "min" gives tied groups the smallest position (integer
-    ranks); "average" gives them the mean of their positions.
+    `journals`, `scores` and `ranks` are aligned, in rank order.  tie_policy
+    "min" gives tied groups the smallest position (integer ranks);
+    "average" gives them the mean of their positions.
     """
 
     metric_name: str
-    rows: tuple[RankRow, ...]
+    journals: tuple[str, ...]
+    scores: np.ndarray
+    ranks: np.ndarray
     tie_policy: str
 
 
@@ -83,12 +80,14 @@ def rank(scores: MetricVector, tie_policy: str = "min") -> RankTable:
     """Rank journals by score, largest first; rank 1 = largest score."""
     if tie_policy not in ("average", "min"):
         raise ComparisonError(f"tie_policy must be 'average' or 'min', got {tie_policy!r}")
-    if not scores.scores:
+    if not len(scores):
         raise ComparisonError("cannot rank an empty metric vector")
-    ids, values = zip(*sorted(scores.scores.items(), key=lambda kv: (-kv[1], kv[0])))
-    ranks = _descending_ranks(np.array(values, dtype=float), tie_policy).tolist()
-    rows = tuple(map(RankRow, ids, values, ranks))
-    return RankTable(metric_name=scores.metric_name, rows=rows, tie_policy=tie_policy)
+    # The values are in id order, so a stable sort breaks ties by id.
+    order = np.argsort(-scores.values, kind="stable")
+    ordered = scores.values[order]
+    journals = tuple(np.array(scores.ids, dtype=object)[order].tolist())
+    return RankTable(scores.metric_name, journals, ordered, _sorted_ranks(ordered, tie_policy),
+                     tie_policy)
 
 
 def _descending_ranks(values: np.ndarray, tie_policy: str = "average") -> np.ndarray:
@@ -100,25 +99,37 @@ def _descending_ranks(values: np.ndarray, tie_policy: str = "average") -> np.nda
     of a `report` on a million citation records.
     """
     order = np.argsort(-values, kind="stable")
-    ordered = values[order]
+    ranks = np.empty(len(values), dtype=int if tie_policy == "min" else float)
+    ranks[order] = _sorted_ranks(values[order], tie_policy)
+    return ranks
+
+
+def _sorted_ranks(ordered: np.ndarray, tie_policy: str) -> np.ndarray:
+    """`_descending_ranks` of values already in descending order."""
     starts = np.r_[True, ordered[1:] != ordered[:-1]]
     bounds = np.flatnonzero(np.r_[starts, True])  # each tie group's first position, then n
     group = np.cumsum(starts) - 1
     low, high = bounds[group] + 1, bounds[group + 1]
-    ranks = np.empty(len(values), dtype=int if tie_policy == "min" else float)
-    ranks[order] = low if tie_policy == "min" else (low + high) / 2.0
-    return ranks
+    return low if tie_policy == "min" else (low + high) / 2.0
 
 
 def _paired(
     x: MetricVector, y: MetricVector
-) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-    """Intersection of the two vectors in sorted id order, plus missing ids."""
-    common = sorted(set(x.scores) & set(y.scores))
-    missing = sorted((set(x.scores) ^ set(y.scores)))
-    xv = np.array([x.scores[jid] for jid in common], dtype=float)
-    yv = np.array([y.scores[jid] for jid in common], dtype=float)
-    return common, xv, yv, missing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Intersection of the two vectors in sorted id order, plus missing ids.
+
+    The ids are matched by position in object arrays of Python strings;
+    numpy's fixed-width strings would drop trailing NULs, and ids may
+    contain NUL.
+    """
+    x_ids, y_ids = np.array(x.ids, dtype=object), np.array(y.ids, dtype=object)
+    at = np.searchsorted(x_ids, y_ids)
+    in_x = at < len(x_ids)
+    in_x[in_x] = x_ids[at[in_x]] == y_ids[in_x]
+    in_y = np.zeros(len(x_ids), dtype=bool)
+    in_y[at[in_x]] = True
+    missing = sorted(x_ids[~in_y].tolist() + y_ids[~in_x].tolist())
+    return y_ids[in_x], x.values[at[in_x]], y.values[in_x], missing
 
 
 def _pearson(xv: np.ndarray, yv: np.ndarray, what: str) -> float:
@@ -160,11 +171,8 @@ def positive_log_pairs(
 
 def _positive_logs(common, xv, yv, missing):
     positive = (xv > 0.0) & (yv > 0.0)
-    keep = positive.tolist()
-    nonpositive = [jid for jid, ok in zip(common, keep) if not ok]
-    ids = [jid for jid, ok in zip(common, keep) if ok]
-    omitted = sorted(missing + nonpositive)
-    return ids, np.log10(xv[positive]), np.log10(yv[positive]), omitted
+    omitted = sorted(missing + common[~positive].tolist())
+    return common[positive].tolist(), np.log10(xv[positive]), np.log10(yv[positive]), omitted
 
 
 def pearson_log(x: MetricVector, y: MetricVector) -> float:
@@ -186,7 +194,7 @@ def concentration(
 
     k larger than the vector covers the whole vector (share 1.0).
     """
-    values = sorted(scores.scores.values(), reverse=True)
+    values = _descending(scores.values).tolist()
     total = sum(values)
     if total <= 0.0:
         raise ComparisonError("concentration undefined: total score is 0")
@@ -194,16 +202,21 @@ def concentration(
     for k in ks:
         if k < 1:
             raise ComparisonError(f"concentration k must be >= 1, got {k}")
-        shares.append((k, sum(values[: min(k, len(values))]) / total))
+        shares.append((k, sum(values[:k]) / total))
     return shares
 
 
 def rank_gaps(scores: MetricVector) -> list[float]:
     """Differences between consecutively ranked scores, largest pair first."""
-    if len(scores.scores) < 2:
+    if len(scores) < 2:
         raise ComparisonError("rank_gaps needs at least 2 journals")
-    values = sorted(scores.scores.values(), reverse=True)
-    return [values[i] - values[i + 1] for i in range(len(values) - 1)]
+    values = _descending(scores.values)
+    return (values[:-1] - values[1:]).tolist()
+
+
+def _descending(values: np.ndarray) -> np.ndarray:
+    """The values, largest first; equal values (0.0 and -0.0) keep their order."""
+    return -np.sort(-values, kind="stable")
 
 
 # Relative eigenvalue floor below which the fitted covariance counts as singular.

@@ -1,10 +1,11 @@
 """Citation-network data model and CSV ingestion.
 
-A :class:`Corpus` holds journals (with per-year article counts) and
-aggregated citation records as int64 columns.  Records are
-journal-pair-year counts, not per-article events; records with identical
-(citing, cited, citing_year, cited_year) keys are merged by summing counts,
-so merging is idempotent and order-independent.
+A :class:`Corpus` holds the sorted journal ids and their names, per-year
+article counts as long-form int64 rows, and aggregated citation records as
+int64 columns.  Records are journal-pair-year counts, not per-article
+events; records with identical (citing, cited, citing_year, cited_year)
+keys are merged by summing counts, so merging is idempotent and
+order-independent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import codecs
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -28,32 +29,12 @@ CITATIONS_HEADER = ["citing", "cited", "citing_year", "cited_year", "count"]
 MAX_COUNT = 2**53
 _INT64 = range(-(2**63), 2**63)
 # The integer fields numpy's loadtxt reads: ASCII digits, an optional sign,
-# surrounding whitespace.
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+# surrounding whitespace.  int() gets the number alone: it does not take
+# every character \s matches (\x1c to \x1f) as whitespace.
+_INTEGER = re.compile(r"\s*([+-]?[0-9]+)\s*")
 _NON_BLANK = re.compile(rb"[^\r\n]")
 # The first line and its ending, which may be \n, \r\n or a bare \r.
 _FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
-
-
-@dataclass(frozen=True)
-class Journal:
-    """One journal: opaque unique id, display name, article counts per year."""
-
-    id: str
-    name: str
-    articles_by_year: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.id:
-            raise CorpusError("journal id must be non-empty")
-        for year, n in self.articles_by_year.items():
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise CorpusError(
-                    f"journal {self.id!r}: article count for {year} must be an integer >= 0, got {n!r}"
-                )
-
-    def articles_in(self, years: Iterable[int]) -> int:
-        return sum(self.articles_by_year.get(y, 0) for y in years)
 
 
 @dataclass(frozen=True)
@@ -102,7 +83,7 @@ class CitationWindow:
     def publication_years(self, corpus: "Corpus") -> tuple[int, ...]:
         if self.mode == "cited-window":
             return tuple(range(self.census_year - self.span, self.census_year))
-        return tuple(sorted(_article_years(corpus.journals)))
+        return tuple(np.unique(corpus.article_year).tolist())
 
     def describe(self) -> str:
         if self.mode == "all-years":
@@ -110,61 +91,68 @@ class CitationWindow:
         return f"census_year={self.census_year} span={self.span}"
 
 
-def _article_years(journals: dict[str, Journal]) -> set[int]:
-    return set().union(*(journal.articles_by_year for journal in journals.values()))
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Immutable set of journals plus merged citation records.
+    """Immutable set of journals, their article counts, and merged citation records.
 
-    `ids` is the sorted journal ids.  Record i says journal `ids[citing[i]]`
-    cited items that `ids[cited[i]]` published in `cited_year[i]`,
-    `count[i]` times, in `citing_year[i]`.  Construction validates every
-    record, sorts the records by (citing, cited, citing_year, cited_year)
-    and sums duplicate keys; the columns are read-only, and instances are
+    `ids` is the sorted journal ids and `names` their display names.  Article
+    row i says journal `ids[article_journal[i]]` published `article_count[i]`
+    articles in `article_year[i]`; a journal may have no article rows.
+    Record i says journal `ids[citing[i]]` cited items that `ids[cited[i]]`
+    published in `cited_year[i]`, `count[i]` times, in `citing_year[i]`.
+    Construction validates every row, sorts the article rows by (journal,
+    year), sorts the records by (citing, cited, citing_year, cited_year) and
+    sums duplicate record keys; the columns are read-only, and instances are
     safe to share across threads.
     """
 
-    journals: dict[str, Journal]
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    article_journal: np.ndarray
+    article_year: np.ndarray
+    article_count: np.ndarray
     citing: np.ndarray
     cited: np.ndarray
     citing_year: np.ndarray
     cited_year: np.ndarray
     count: np.ndarray
-    ids: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        for jid, journal in self.journals.items():
-            if journal.id != jid:
-                raise CorpusError(f"journal keyed {jid!r} carries id {journal.id!r}")
-        ids = tuple(sorted(self.journals))
-        columns = [np.asarray(getattr(self, name)) for name in COLUMNS]
-        if any(c.size and (c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64))
-               for c in columns):
-            raise CorpusError("citation columns must hold integers that fit in int64")
-        columns = [np.ascontiguousarray(c, dtype=np.int64) for c in columns]
-        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
-            raise CorpusError("citation columns must be one-dimensional and of equal length")
-        problem = _first_problem(len(ids), *columns)
+        ids, names = tuple(self.ids), tuple(self.names)
+        if len(names) != len(ids):
+            raise CorpusError(f"{len(ids)} journal ids need as many names, got {len(names)}")
+        if not strictly_ascending(ids):
+            raise CorpusError("journal ids must be sorted and unique")
+        if ids[:1] == ("",):
+            raise CorpusError("journal id must be non-empty")
+        articles = _int64_columns([getattr(self, name) for name in ARTICLE_COLUMNS], "article")
+        problem = _article_problem(ids, *articles)
         if problem is not None:
             raise CorpusError(problem[1])
-        for name, column in zip(COLUMNS, _merged(*columns)):
+        order = np.lexsort((articles[1], articles[0]))  # by journal, then year
+        records = _int64_columns([getattr(self, name) for name in COLUMNS], "citation")
+        problem = _first_problem(len(ids), *records)
+        if problem is not None:
+            raise CorpusError(problem[1])
+        columns = [column[order] for column in articles] + list(_merged(*records))
+        for name, column in zip(ARTICLE_COLUMNS + COLUMNS, columns):
             column = column.view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "names", names)
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
-        return self.journals == other.journals and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS
+        return (self.ids, self.names) == (other.ids, other.names) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ARTICLE_COLUMNS + COLUMNS
         )
 
     @property
     def n_journals(self) -> int:
-        return len(self.journals)
+        return len(self.ids)
 
     @property
     def n_records(self) -> int:
@@ -172,6 +160,16 @@ class Corpus:
 
     def total_count(self) -> int:
         return int(self.count.sum())
+
+    def articles_in(self, years: Iterable[int]) -> np.ndarray:
+        """Each journal's articles published in `years`, in `ids` order.
+
+        float64, exact while each journal's sum stays at or below 2**53.
+        """
+        rows = np.isin(self.article_year, np.fromiter(years, dtype=np.int64))
+        return np.bincount(
+            self.article_journal[rows], weights=self.article_count[rows], minlength=self.n_journals
+        )
 
     def select(
         self, window: CitationWindow, include_self: bool
@@ -188,18 +186,64 @@ class Corpus:
 
     def year_range(self) -> tuple[int, int] | None:
         """(min, max) over article years and citation years; None if no years at all."""
-        years = _article_years(self.journals)
-        if self.n_records:
-            years.update(
-                int(f(column)) for f in (np.min, np.max)
-                for column in (self.citing_year, self.cited_year)
-            )
-        if not years:
+        columns = [c for c in (self.article_year, self.citing_year, self.cited_year) if len(c)]
+        if not columns:
             return None
-        return min(years), max(years)
+        return min(int(c.min()) for c in columns), max(int(c.max()) for c in columns)
 
 
+ARTICLE_COLUMNS = ("article_journal", "article_year", "article_count")
 COLUMNS = ("citing", "cited", "citing_year", "cited_year", "count")
+
+
+def strictly_ascending(ids: tuple[str, ...]) -> bool:
+    """Whether the ids are sorted and unique, compared as Python strings."""
+    keys = np.array(ids, dtype=object)
+    return bool((keys[1:] > keys[:-1]).all())
+
+
+def _int64_columns(columns: list, what: str) -> list[np.ndarray]:
+    """The columns as int64 arrays; CorpusError unless they are one-dimensional,
+    of equal length, and hold integers that fit in int64."""
+    columns = [np.asarray(c) for c in columns]
+    if any(c.size and (c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64))
+           for c in columns):
+        raise CorpusError(f"{what} columns must hold integers that fit in int64")
+    columns = [np.ascontiguousarray(c, dtype=np.int64) for c in columns]
+    if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+        raise CorpusError(f"{what} columns must be one-dimensional and of equal length")
+    return columns
+
+
+def _first_hit(checks) -> tuple[int, str] | None:
+    """(row, reason) for the first row any (mask, reason) check flags.
+
+    Of checks that flag the same row, the earlier in `checks` wins.
+    """
+    hits = [(int(bad.argmax()), reason) for bad, reason in checks if bad.any()]
+    if not hits:
+        return None
+    row, reason = min(hits, key=lambda hit: hit[0])
+    return row, reason(row)
+
+
+def _article_problem(ids, journal, year, count) -> tuple[int, str] | None:
+    """(row, reason) for the first article row that breaks an invariant; None if all hold.
+
+    The invariants: the journal exists, 0 <= count <= 2**53, and no row
+    repeats the (journal, year) of an earlier one.
+    """
+    order = np.lexsort((year, journal))  # stable, so a repeat sorts after its first row
+    _, repeats = _key_order((journal[order], year[order]))
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[repeats]] = True
+    return _first_hit((
+        ((journal < 0) | (journal >= len(ids)),
+         lambda i: f"article row references unknown journal position {journal[i]}"),
+        (count < 0, lambda i: f"negative article count {count[i]}"),
+        (count > MAX_COUNT, lambda i: f"article count {count[i]} is above 2**53"),
+        (repeated, lambda i: f"duplicate journal id {ids[journal[i]]!r} for year {year[i]}"),
+    ))
 
 
 def _first_problem(n_journals, citing, cited, citing_year, cited_year, count):
@@ -211,7 +255,7 @@ def _first_problem(n_journals, citing, cited, citing_year, cited_year, count):
     """
     # Clipping keeps the running sum from wrapping before it first passes the bound.
     running = np.cumsum(np.clip(count, 0, MAX_COUNT + 1))
-    checks = (
+    return _first_hit((
         ((citing < 0) | (citing >= n_journals) | (cited < 0) | (cited >= n_journals),
          lambda i: f"citation references unknown journal position {citing[i]} or {cited[i]}"),
         ((count < 1) | (count > MAX_COUNT),
@@ -219,12 +263,7 @@ def _first_problem(n_journals, citing, cited, citing_year, cited_year, count):
         (cited_year > citing_year,
          lambda i: f"cited_year {cited_year[i]} is after citing_year {citing_year[i]}"),
         (running > MAX_COUNT, lambda i: "the running total of citation counts passes 2**53"),
-    )
-    hits = [(int(bad.argmax()), reason) for bad, reason in checks if bad.any()]
-    if not hits:
-        return None
-    row, reason = min(hits, key=lambda hit: hit[0])
-    return row, reason(row)
+    ))
 
 
 def _merged(citing, cited, citing_year, cited_year, count) -> tuple[np.ndarray, ...]:
@@ -254,7 +293,9 @@ def _key_order(keys: tuple[np.ndarray, ...]) -> tuple[bool, np.ndarray]:
     for k in keys:
         later |= equal & (k[1:] > k[:-1])
         equal &= k[1:] == k[:-1]
-    return bool((later | equal).all()), np.concatenate(([False], equal))
+    repeats = np.zeros(len(keys[0]), dtype=bool)
+    repeats[1:] = equal
+    return bool((later | equal).all()), repeats
 
 
 def journal_positions(ids: np.ndarray, names: np.ndarray) -> np.ndarray:
@@ -295,78 +336,141 @@ def _data_rows(source: IO[str], expected: list[str], what: str):
 def _integers(row: list[str], line: int) -> list[int]:
     """The row's fields from the third on as integers, under the grammar
     loadtxt reads and within int64."""
-    fields = row[2:]
-    if not all(map(_INTEGER.fullmatch, fields)):
+    matches = list(map(_INTEGER.fullmatch, row[2:]))
+    if not all(matches):
         raise CorpusError(f"malformed numeric field in {row!r}", line=line)
-    numbers = list(map(int, fields))
+    numbers = [int(match[1]) for match in matches]
     if not all(map(_INT64.__contains__, numbers)):
         raise CorpusError(f"numeric field outside the int64 range in {row!r}", line=line)
     return numbers
 
 
-def _parse_journals(source: IO[str]) -> dict[str, Journal]:
+def _loadtxt_table(
+    raw: bytes, expected: list[str], what: str, dtype, ndmin: int = 1, usecols=None
+) -> np.ndarray:
+    """The rows after the header, read by numpy's C parser.
+
+    Raises ValueError, csv.Error or CorpusError for a file it cannot read.
+    Only call it on ASCII input without NUL bytes: numpy's integer parser
+    reads some non-ASCII characters as digits.
+    """
+    body_start = _FIRST_LINE.match(raw).end()
+    header = next(csv.reader([raw[:body_start].decode("ascii")]), None)
+    _check_header(header, expected, what)
+    if _NON_BLANK.search(raw, body_start) is None:
+        return np.empty((0,) * ndmin, dtype=dtype)  # loadtxt would warn about an empty body
+    body = io.BytesIO(raw)
+    body.seek(body_start)
+    return np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
+                      usecols=usecols, encoding="ascii", dtype=dtype)
+
+
+def _loadtxt_journals(raw: bytes) -> tuple:
+    """The Corpus journal fields of journals.csv, read by numpy's C parser.
+
+    Ids and names are read as numpy's variable-width strings: a fixed width
+    would size every row by the longest name.  A row without year and
+    articles fails the integer read.  Raises ValueError, csv.Error or
+    CorpusError for any file it cannot read; the caller then parses row by
+    row.
+    """
+    text = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.dtypes.StringDType(), ndmin=2)
+    if text.shape[1:] != (len(JOURNALS_HEADER),):
+        raise ValueError(f"journals rows need {len(JOURNALS_HEADER)} fields")
+    year, count = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.int64, ndmin=2,
+                                 usecols=(2, 3)).T
+    return _journal_columns(text[:, 0], text[:, 1], np.ones(len(text), dtype=bool), year, count)
+
+
+def _row_journals(raw: bytes) -> tuple:
+    """The Corpus journal fields of journals.csv, read row by row with the csv module.
+
+    Accepts the same grammar as `_loadtxt_journals` and raises a CorpusError
+    naming the first offending line.
+    """
+    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    rows: list[tuple] = []
+    lines: list[int] = []
+    error = None
+    try:
+        for line, row in _data_rows(source, JOURNALS_HEADER, "journals"):
+            lines.append(line)
+            # A row with malformed numbers still has its id and name checked.
+            rows.append((row[0], row[1], False, 0, 0))
+            if row[2:] != ["", ""]:
+                rows[-1] = (row[0], row[1], True, *_integers(row, line))
+    except CorpusError as exc:
+        error = exc
+    columns = list(zip(*rows)) or [()] * 5
+    types = (object, object, bool, np.int64, np.int64)
+    # A row before the first malformed one may break an invariant first.
+    journals = _journal_columns(*(np.array(c, dtype=t) for c, t in zip(columns, types)), lines)
+    if error is not None:
+        raise error
+    return journals
+
+
+def _journal_columns(row_ids, row_names, data, year, count, lines=None) -> tuple:
+    """The Corpus journal fields (ids, names, article_journal, article_year,
+    article_count) of journals.csv rows.
+
+    The rows are given as columns: id, name, whether the row carries a year
+    and an article count, the year and the count (0 where it does not).
+    Raises a CorpusError for the first row with an empty id, a name other
+    than its id's first, or an article count or year the Corpus rejects,
+    naming its line when `lines` is given.
+    """
+    ids, first, journal = np.unique(row_ids, return_index=True, return_inverse=True)
+    names = row_names[first]
+    hits = [_first_hit((
+        (row_ids == "", lambda i: "empty journal id"),
+        (row_names != names[journal],
+         lambda i: f"journal {row_ids[i]!r} listed with conflicting names "
+                   f"{names[journal[i]]!r} and {row_names[i]!r}"),
+    ))]
+    rows = np.flatnonzero(data)
+    article = _article_problem(ids, journal[rows], year[rows], count[rows])
+    if article is not None:
+        hits.append((int(rows[article[0]]), article[1]))
+    problem = min(filter(None, hits), key=lambda hit: hit[0], default=None)
+    if problem is not None:
+        raise CorpusError(problem[1], line=None if lines is None else lines[problem[0]])
+    return tuple(ids.tolist()), tuple(names.tolist()), journal[rows], year[rows], count[rows]
+
+
+def _parse_journals(raw: bytes) -> tuple:
     """Journal rows are `id,name,year,articles`, one per (journal, year); a row
-    with empty year and articles declares a journal with no article data."""
-    articles: dict[str, dict[int, int]] = {}
-    names: dict[str, str] = {}
-    for line, row in _data_rows(source, JOURNALS_HEADER, "journals"):
-        jid, name, year_s, articles_s = row
-        if not jid:
-            raise CorpusError("empty journal id", line=line)
-        if jid in names:
-            if names[jid] != name:
-                raise CorpusError(
-                    f"journal {jid!r} listed with conflicting names "
-                    f"{names[jid]!r} and {name!r}",
-                    line=line,
-                )
-        else:
-            names[jid] = name
-            articles[jid] = {}
-        if year_s == "" and articles_s == "":
-            continue
-        year, count = _integers(row, line)
-        if count < 0:
-            raise CorpusError(f"negative article count {count}", line=line)
-        if count > MAX_COUNT:
-            raise CorpusError(f"article count {count} is above 2**53", line=line)
-        if year in articles[jid]:
-            raise CorpusError(
-                f"duplicate journal id {jid!r} for year {year}", line=line
-            )
-        articles[jid][year] = count
-    return {
-        jid: Journal(id=jid, name=name, articles_by_year=articles[jid])
-        for jid, name in names.items()
-    }
+    with empty year and articles declares a journal with no article data.
+    A UTF-8 byte order mark is ignored."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    if raw.isascii() and b"\0" not in raw:
+        try:
+            return _loadtxt_journals(raw)
+        except (ValueError, csv.Error, CorpusError):
+            pass  # the row loop names the offending line
+    return _row_journals(raw)
 
 
 def _no_records() -> tuple[np.ndarray, ...]:
     return tuple(np.empty(0, dtype=np.int64) for _ in COLUMNS)
 
 
-def _loadtxt_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
+def _loadtxt_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Citation columns read by numpy's C parser.
 
     Raises ValueError, csv.Error or CorpusError for any file it cannot read; the caller
-    then parses row by row.  Only call it on ASCII input without NUL bytes:
-    numpy's integer parser reads some non-ASCII characters as digits, and
-    fixed-width byte strings drop trailing NULs.
+    then parses row by row.  Only call it on ASCII input without NUL bytes,
+    and ids without NULs: fixed-width byte strings drop trailing NULs.
     """
-    body_start = _FIRST_LINE.match(raw).end()
-    header = next(csv.reader([raw[:body_start].decode("ascii")]), None)
-    _check_header(header, CITATIONS_HEADER, "citations")
-    if _NON_BLANK.search(raw, body_start) is None:
-        return _no_records()  # loadtxt would warn about an empty body
-    body = io.BytesIO(raw)
-    body.seek(body_start)
-    encoded = np.array([jid.encode("utf-8") for jid in ids], dtype=bytes)
+    # No id contains a NUL, so joining on it and splitting the encoded text
+    # encodes each id.
+    encoded = np.array("\0".join(ids).encode("utf-8").split(b"\0") if ids else [], dtype=bytes)
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
     width = encoded.itemsize + 1
-    table = np.loadtxt(
-        body, delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="ascii",
-        dtype=[("citing", f"S{width}"), ("cited", f"S{width}"),
-               ("citing_year", np.int64), ("cited_year", np.int64), ("count", np.int64)],
+    table = _loadtxt_table(
+        raw, CITATIONS_HEADER, "citations",
+        [("citing", f"S{width}"), ("cited", f"S{width}"),
+         ("citing_year", np.int64), ("cited_year", np.int64), ("count", np.int64)],
     )
     return (
         journal_positions(encoded, table["citing"]),
@@ -375,7 +479,7 @@ def _loadtxt_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _row_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
+def _row_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Citation columns read row by row with the csv module.
 
     Accepts the same grammar as `_loadtxt_columns` and raises a CorpusError
@@ -404,17 +508,21 @@ def _row_columns(raw: bytes, ids: list[str]) -> tuple[np.ndarray, ...]:
     return columns
 
 
-def _parse_citations(journals: dict[str, Journal], raw: bytes) -> Corpus:
+def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
     """Citation rows are `citing,cited,citing_year,cited_year,count`; duplicate
-    keys are merged by summing counts.  A UTF-8 byte order mark is ignored."""
+    keys are merged by summing counts.  A UTF-8 byte order mark is ignored.
+
+    `journals` is the Corpus journal fields, ids first.
+    """
     raw = raw.removeprefix(codecs.BOM_UTF8)
-    ids = sorted(journals)
-    if raw.isascii() and b"\0" not in raw and not any('"' in jid or "\0" in jid for jid in ids):
+    ids = journals[0]
+    joined = "".join(ids)
+    if raw.isascii() and b"\0" not in raw and '"' not in joined and "\0" not in joined:
         try:
-            return Corpus(journals, *_loadtxt_columns(raw, ids))
+            return Corpus(*journals, *_loadtxt_columns(raw, ids))
         except (ValueError, csv.Error, CorpusError):
             pass  # the row loop names the offending line
-    return Corpus(journals, *_row_columns(raw, ids))
+    return Corpus(*journals, *_row_columns(raw, ids))
 
 
 def parse_corpus(journals_source: IO[str], citations_source: IO[str]) -> Corpus:
@@ -422,27 +530,32 @@ def parse_corpus(journals_source: IO[str], citations_source: IO[str]) -> Corpus:
 
     Errors report the offending line.
     """
-    journals = _parse_journals(journals_source)
+    journals = _parse_journals(journals_source.read().encode("utf-8"))
     return _parse_citations(journals, citations_source.read().encode("utf-8"))
 
 
 def load_corpus(journals_path, citations_path) -> Corpus:
-    with open(journals_path, newline="", encoding="utf-8-sig") as jf:
-        journals = _parse_journals(jf)
+    with open(journals_path, "rb") as jf:
+        journals = _parse_journals(jf.read())
     with open(citations_path, "rb") as cf:
         return _parse_citations(journals, cf.read())
 
 
 def dump_journals(corpus: Corpus, out: IO[str]) -> None:
+    """One row per article row, in (journal, year) order; a journal without
+    article rows gets one row with empty year and articles."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(JOURNALS_HEADER)
-    for jid in corpus.ids:
-        journal = corpus.journals[jid]
-        if not journal.articles_by_year:
-            writer.writerow([jid, journal.name, "", ""])
-            continue
-        for year in sorted(journal.articles_by_year):
-            writer.writerow([jid, journal.name, year, journal.articles_by_year[year]])
+    bare = np.flatnonzero(np.bincount(corpus.article_journal, minlength=corpus.n_journals) == 0)
+    order = np.argsort(np.concatenate((corpus.article_journal, bare)), kind="stable")
+    journal = np.concatenate((corpus.article_journal, bare))[order]
+    empty = np.full(len(bare), "", dtype=object)
+    writer.writerows(zip(
+        np.array(corpus.ids, dtype=object)[journal].tolist(),
+        np.array(corpus.names, dtype=object)[journal].tolist(),
+        np.concatenate((corpus.article_year.astype(object), empty))[order].tolist(),
+        np.concatenate((corpus.article_count.astype(object), empty))[order].tolist(),
+    ))
 
 
 def dump_citations(corpus: Corpus, out: IO[str]) -> None:

@@ -92,8 +92,7 @@ def build_matrix(
         nnz_col = np.repeat(np.arange(n), np.diff(matrix.indptr))
         matrix.data /= column_sums[nnz_col]
 
-    years = window.publication_years(corpus)
-    raw = np.array([corpus.journals[jid].articles_in(years) for jid in ids], dtype=float)
+    raw = corpus.articles_in(window.publication_years(corpus))
     total_articles = raw.sum()
     if total_articles <= 0:
         raise MatrixBuildError(
@@ -145,8 +144,4 @@ def eigen_scores(
         f"iterations={iterations} exclude_self={matrix.exclude_self} "
         f"window=[{matrix.window_label}]"
     )
-    return MetricVector(
-        "eigenfactor",
-        {jid: float(scores[i]) for i, jid in enumerate(matrix.journal_ids)},
-        provenance,
-    )
+    return MetricVector("eigenfactor", matrix.journal_ids, scores, provenance)

@@ -2,27 +2,31 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import CitationWindow, Corpus
+from .corpus import CitationWindow, Corpus, strictly_ascending
 from .errors import MetricError
 
 METRIC_NAMES = ("total_citations", "impact_factor", "eigenfactor", "custom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricVector:
     """A named non-negative score per journal id.
 
-    `provenance` records the window and parameters the scores came from,
-    plus any journals omitted during computation.
+    `ids` is sorted and unique, and `values` is the read-only float64 array
+    of their scores.  `provenance` records the window and parameters the
+    scores came from, plus any journals omitted during computation.
     """
 
     metric_name: str
-    scores: dict[str, float]
+    ids: tuple[str, ...]
+    values: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
@@ -30,14 +34,37 @@ class MetricVector:
             raise MetricError(
                 f"metric_name must be one of {METRIC_NAMES}, got {self.metric_name!r}"
             )
-        for jid, value in self.scores.items():
-            if not math.isfinite(value) or value < 0:
-                raise MetricError(
-                    f"score for {jid!r} must be finite and >= 0, got {value!r}"
-                )
+        ids = tuple(self.ids)
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (len(ids),):
+            raise MetricError(f"{len(ids)} ids need as many scores, got shape {values.shape}")
+        if not strictly_ascending(ids):
+            raise MetricError("ids must be sorted and unique")
+        bad = ~(np.isfinite(values) & (values >= 0.0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise MetricError(
+                f"score for {ids[i]!r} must be finite and >= 0, got {values[i].item()!r}"
+            )
+        values.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_scores(
+        cls, metric_name: str, scores: Mapping[str, float], provenance: str = ""
+    ) -> "MetricVector":
+        """The vector of an {id: score} mapping."""
+        ids, values = zip(*sorted(scores.items())) if scores else ((), ())
+        return cls(metric_name, ids, values, provenance)
+
+    @cached_property
+    def scores(self) -> Mapping[str, float]:
+        """Read-only {id: score} view, in id order."""
+        return MappingProxyType(dict(zip(self.ids, self.values.tolist())))
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return len(self.ids)
 
 
 def total_citations(
@@ -55,9 +82,8 @@ def total_citations(
         window = CitationWindow.all_years()
     _, cited, counts = corpus.select(window, include_self)
     totals = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
-    scores = {jid: float(totals[i]) for i, jid in enumerate(corpus.ids)}
     provenance = f"total_citations window=[{window.describe()}] include_self={include_self}"
-    return MetricVector("total_citations", scores, provenance)
+    return MetricVector("total_citations", corpus.ids, totals, provenance)
 
 
 def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
@@ -78,20 +104,14 @@ def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
         )
     _, cited, counts = corpus.select(CitationWindow.cited(census_year, span=2), include_self=True)
     numerators = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
-    scores: dict[str, float] = {}
-    omitted: list[str] = []
-    for i, jid in enumerate(corpus.ids):
-        journal = corpus.journals[jid]
-        denominator = journal.articles_by_year.get(
-            census_year - 1, 0
-        ) + journal.articles_by_year.get(census_year - 2, 0)
-        if denominator == 0:
-            omitted.append(jid)
-        else:
-            scores[jid] = float(numerators[i]) / denominator
+    denominators = corpus.articles_in((census_year - 2, census_year - 1))
+    scored = denominators > 0
+    ids = np.array(corpus.ids, dtype=object)
     provenance = (
         f"impact_factor census_year={census_year} "
         f"cited_years={census_year - 2}..{census_year - 1} "
-        f"omitted_zero_denominator=[{','.join(omitted)}]"
+        f"omitted_zero_denominator=[{','.join(ids[~scored].tolist())}]"
     )
-    return MetricVector("impact_factor", scores, provenance)
+    return MetricVector(
+        "impact_factor", ids[scored].tolist(), numerators[scored] / denominators[scored], provenance
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Journal
+from .corpus import Corpus
 
 # Mean article count per (journal, year); counts are 1 + Poisson(mean - 1),
 # so every journal publishes in every year.
@@ -68,23 +68,22 @@ def generate(settings: GenSettings) -> Corpus:
     citing_year = rng.integers(first, last + 1, size=total)
     cited_year = rng.integers(first, citing_year + 1)
 
-    ids = [f"J{i:06d}" for i in range(n)]
-    journals = {
-        ids[i]: Journal(
-            id=ids[i],
-            name=f"Journal {i:06d}",
-            articles_by_year={first + k: int(articles[i, k]) for k in range(n_years)},
-        )
-        for i in range(n)
-    }
     # Journal i sits at its id's place in sorted order; past J999999 the
     # wider ids sort out of index order.
+    ids = np.array([f"J{i:06d}" for i in range(n)], dtype=object)
+    names = np.array([f"Journal {i:06d}" for i in range(n)], dtype=object)
+    order = np.argsort(ids, kind="stable")
     position = np.empty(n, dtype=np.int64)
-    position[np.argsort(ids, kind="stable")] = np.arange(n)
+    position[order] = np.arange(n)
 
-    # One event per row; the Corpus merges events that share a key.
+    # One article row per (journal, year) and one event per record row; the
+    # Corpus sorts the article rows and merges events that share a key.
     return Corpus(
-        journals,
+        tuple(ids[order].tolist()),
+        tuple(names[order].tolist()),
+        np.repeat(position, n_years),
+        np.tile(np.arange(first, last + 1), n),
+        articles.ravel(),
         position[citing_idx],
         position[cited_idx],
         citing_year,

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from citerank.cli import load_metric_file
-from citerank.corpus import Corpus, Journal, journal_positions, load_corpus
+from citerank.compare import RankTable
+from citerank.corpus import Corpus, journal_positions, load_corpus
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TOY_DIR = DATA_DIR / "toy"
@@ -71,14 +73,40 @@ def citation_rows(corpus: Corpus) -> list[tuple[str, str, int, int, int]]:
     return [key + (count,) for key, count in citation_dict(corpus).items()]
 
 
+class JournalRow(NamedTuple):
+    """One journal as the tests build and inspect it."""
+
+    id: str
+    name: str
+    articles_by_year: dict[int, int] = {}
+
+
+def journal_dict(corpus: Corpus) -> dict[str, JournalRow]:
+    """The corpus's journals as {id: JournalRow}, in id order."""
+    journals = {jid: JournalRow(jid, name, {}) for jid, name in zip(corpus.ids, corpus.names)}
+    for journal, year, count in zip(
+        corpus.article_journal.tolist(), corpus.article_year.tolist(), corpus.article_count.tolist()
+    ):
+        journals[corpus.ids[journal]].articles_by_year[year] = count
+    return journals
+
+
 def corpus_from(journals, rows) -> Corpus:
-    """Corpus from Journal objects and (citing, cited, citing_year, cited_year,
-    count) rows keyed by journal id; rows with equal keys merge."""
-    by_id = {journal.id: journal for journal in journals}
-    ids = np.array(sorted(by_id), dtype=str)
+    """Corpus from (id, name, {year: articles}) journals and (citing, cited,
+    citing_year, cited_year, count) rows keyed by journal id; rows with equal
+    keys merge."""
+    journals = sorted(JournalRow(*journal) for journal in journals)
+    ids = np.array([journal.id for journal in journals], dtype=str)
+    articles = [
+        (i, year, count)
+        for i, journal in enumerate(journals)
+        for year, count in journal.articles_by_year.items()
+    ]
     citing, cited, citing_year, cited_year, count = list(zip(*rows)) or [()] * 5
     return Corpus(
-        by_id,
+        tuple(ids.tolist()),
+        tuple(journal.name for journal in journals),
+        *(list(column) for column in zip(*articles)) if articles else ([], [], []),
         journal_positions(ids, np.array(citing, dtype=str)),
         journal_positions(ids, np.array(cited, dtype=str)),
         citing_year,
@@ -93,11 +121,19 @@ def build_corpus(article_rows, citation_rows) -> Corpus:
     article_rows: (id, {year: articles}) pairs; citation_rows:
     (citing, cited, citing_year, cited_year, count) tuples.
     """
-    journals = [
-        Journal(id=jid, name=f"Journal {jid}", articles_by_year=dict(years))
-        for jid, years in article_rows
-    ]
+    journals = [JournalRow(jid, f"Journal {jid}", dict(years)) for jid, years in article_rows]
     return corpus_from(journals, citation_rows)
+
+
+class RankRow(NamedTuple):
+    journal: str
+    score: float
+    rank: int | float
+
+
+def rank_rows(table: RankTable) -> tuple[RankRow, ...]:
+    """The table's rows in rank order."""
+    return tuple(map(RankRow, table.journals, table.scores.tolist(), table.ranks.tolist()))
 
 
 def seeded_corpus(seed: int, n: int | None = None, min_articles: int = 1) -> Corpus:

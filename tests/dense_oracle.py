@@ -46,8 +46,4 @@ def dense_oracle_scores(
         f"({DENSE_ORACLE_MULTIPLICATIONS} multiplications) "
         f"exclude_self={matrix.exclude_self} window=[{matrix.window_label}]"
     )
-    return MetricVector(
-        "eigenfactor",
-        {jid: float(scores[i]) for i, jid in enumerate(matrix.journal_ids)},
-        provenance,
-    )
+    return MetricVector("eigenfactor", matrix.journal_ids, scores, provenance)

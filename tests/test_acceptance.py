@@ -26,7 +26,7 @@ from citerank.eigenrank import EigenSettings, build_matrix, eigen_scores
 from citerank.metrics import MetricVector, impact_factor
 from citerank.syngen import GenSettings, generate
 
-from conftest import build_corpus, citation_dict, seeded_corpus
+from conftest import build_corpus, citation_dict, journal_dict, rank_rows, seeded_corpus
 from dense_oracle import dense_oracle_scores
 
 
@@ -128,18 +128,18 @@ def test_criterion_3_bundled_rank_reproduction(
         }
         for name, vector in columns.items():
             table = rank(vector, tie_policy="min")
-            computed_order = [row.journal for row in table.rows]
+            computed_order = list(table.journals)
             published_order = sorted(
                 vector.scores, key=lambda jid: published_ranks[jid][name]
             )
             assert computed_order == published_order
         # named spot checks
         eigen_table = rank(top20_eigen, tie_policy="min")
-        by_eigen = {row.journal: row.rank for row in eigen_table.rows}
+        by_eigen = {row.journal: row.rank for row in rank_rows(eigen_table)}
         assert by_eigen["VACCINE"] == 10
-        citation_order = [row.journal for row in rank(top20_citations, "min").rows]
+        citation_order = list(rank(top20_citations, "min").journals)
         assert citation_order.index("VACCINE") > citation_order.index("AM J MED")
-        impact_order = [row.journal for row in rank(top20_impact, "min").rows]
+        impact_order = list(rank(top20_impact, "min").journals)
         assert top20_impact.scores["LARYNGOSCOPE"] == 1.736
         assert top20_impact.scores["STAT MED"] == 1.737
         assert impact_order.index("LARYNGOSCOPE") > impact_order.index("STAT MED")
@@ -208,31 +208,31 @@ def test_criterion_5_invariance_suite():
             fx = _strictly_increasing_transforms(rng)
             fy = _strictly_increasing_transforms(rng)
             base = spearman(
-                MetricVector("custom", dict(zip(ids, _non_negative(xs)))),
-                MetricVector("custom", dict(zip(ids, _non_negative(ys)))),
+                MetricVector.from_scores("custom", dict(zip(ids, _non_negative(xs)))),
+                MetricVector.from_scores("custom", dict(zip(ids, _non_negative(ys)))),
             )
             mapped = spearman(
-                MetricVector("custom", dict(zip(ids, _non_negative([fx(v) for v in xs])))),
-                MetricVector("custom", dict(zip(ids, _non_negative([fy(v) for v in ys])))),
+                MetricVector.from_scores("custom", dict(zip(ids, _non_negative([fx(v) for v in xs])))),
+                MetricVector.from_scores("custom", dict(zip(ids, _non_negative([fy(v) for v in ys])))),
             )
             assert mapped == base  # exact: ranks are untouched
 
         for case in range(50):
             n = 25
             ids = [f"J{i}" for i in range(n)]
-            x = MetricVector("custom", dict(zip(ids, rng.lognormal(0.0, 1.0, n))))
-            y = MetricVector("custom", dict(zip(ids, rng.lognormal(0.5, 0.7, n))))
+            x = MetricVector.from_scores("custom", dict(zip(ids, rng.lognormal(0.0, 1.0, n))))
+            y = MetricVector.from_scores("custom", dict(zip(ids, rng.lognormal(0.5, 0.7, n))))
             base = pearson_log(x, y)
             factor = float(rng.lognormal(0.0, 2.0))
-            scaled_x = MetricVector("custom", {j: factor * v for j, v in x.scores.items()})
-            scaled_y = MetricVector("custom", {j: factor * v for j, v in y.scores.items()})
+            scaled_x = MetricVector.from_scores("custom", {j: factor * v for j, v in x.scores.items()})
+            scaled_y = MetricVector.from_scores("custom", {j: factor * v for j, v in y.scores.items()})
             assert abs(pearson_log(scaled_x, y) - base) <= 1e-12
             assert abs(pearson_log(x, scaled_y) - base) <= 1e-12
 
             table = rank(x, tie_policy="min")
             scaled_table = rank(scaled_x, tie_policy="min")
-            assert [(r.journal, r.rank) for r in table.rows] == [
-                (r.journal, r.rank) for r in scaled_table.rows
+            assert [(r.journal, r.rank) for r in rank_rows(table)] == [
+                (r.journal, r.rank) for r in rank_rows(scaled_table)
             ]
 
 
@@ -241,7 +241,7 @@ def test_criterion_6_concentration_consistency(top20_citations):
     share agrees with the 0.16/0.51 ratio within 0.01."""
     with criterion(6, "top-5 citation concentration consistent with published shares"):
         ordered = sorted(top20_citations.scores.items(), key=lambda kv: -kv[1])
-        top5 = MetricVector("total_citations", dict(ordered[:5]), "top 5 by citations")
+        top5 = MetricVector.from_scores("total_citations", dict(ordered[:5]), "top 5 by citations")
         assert sum(top5.scores.values()) == 558116.0
         assert top5.scores["NEW ENGL J MED"] == 177505.0
         ((_, share),) = concentration(top5, [1])
@@ -265,7 +265,7 @@ def test_criterion_7_impact_factor_contract():
         for _ in range(50):
             seed = int(rng.integers(1 << 31))
             base = seeded_corpus(seed)
-            gutted = {jid for jid in base.journals if rng.random() < 0.4}
+            gutted = {jid for jid in base.ids if rng.random() < 0.4}
             corpus = build_corpus(
                 [
                     (
@@ -274,12 +274,12 @@ def test_criterion_7_impact_factor_contract():
                         if jid in gutted
                         else journal.articles_by_year,
                     )
-                    for jid, journal in base.journals.items()
+                    for jid, journal in journal_dict(base).items()
                 ],
                 [key + (count,) for key, count in citation_dict(base).items()],
             )
             vector = impact_factor(corpus, 2006)
-            assert set(corpus.journals) - set(vector.scores) == gutted
+            assert set(corpus.ids) - set(vector.scores) == gutted
             for jid in sorted(gutted):
                 assert jid in vector.provenance
 
@@ -287,7 +287,7 @@ def test_criterion_7_impact_factor_contract():
             scaled = build_corpus(
                 [
                     (jid, {y: factor * n for y, n in j.articles_by_year.items()})
-                    for jid, j in corpus.journals.items()
+                    for jid, j in journal_dict(corpus).items()
                 ],
                 [key + (factor * count,) for key, count in citation_dict(corpus).items()],
             )
@@ -300,10 +300,10 @@ def test_criterion_8_ellipse_closed_form_and_coverage():
     with criterion(8, "ellipse closed form (1e-6) and Monte Carlo coverage window"):
         s = math.sqrt(1.5)
         coords = [(s, 0.0), (-s, 0.0), (0.0, s), (0.0, -s)]
-        x = MetricVector(
+        x = MetricVector.from_scores(
             "custom", {f"P{i}": 10.0 ** cx for i, (cx, _) in enumerate(coords)}
         )
-        y = MetricVector(
+        y = MetricVector.from_scores(
             "custom", {f"P{i}": 10.0 ** cy for i, (_, cy) in enumerate(coords)}
         )
         ellipse = density_ellipse(x, y, coverage=0.95)
@@ -315,10 +315,10 @@ def test_criterion_8_ellipse_closed_form_and_coverage():
         n = 100_000
         lx = rng.normal(2.0, 0.5, n)
         ly = rng.normal(1.0, 0.8, n) + 0.6 * (lx - 2.0)
-        mx = MetricVector(
+        mx = MetricVector.from_scores(
             "custom", {f"J{i}": float(v) for i, v in enumerate(10.0 ** lx)}
         )
-        my = MetricVector(
+        my = MetricVector.from_scores(
             "custom", {f"J{i}": float(v) for i, v in enumerate(10.0 ** ly)}
         )
         fitted = density_ellipse(mx, my, coverage=0.95)

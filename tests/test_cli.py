@@ -184,6 +184,41 @@ def test_rank_window_span_needs_census_year(tmp_path, toy_paths, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", [["--window-span", "2"], ["--include-self"], ["--exclude-self"]])
+def test_rank_impact_factor_rejects_flags_it_would_ignore(tmp_path, toy_paths, flag, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    code = run_cli("rank", *corpus_args(toy_paths), "--method", "impact-factor",
+                   "--census-year", "2006", *flag, "--out", out)
+    assert code == 2
+    assert "do not apply to --method impact-factor" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["report", "--census-year", "2006", "--precision", "-1"],
+    ["report", "--census-year", "2006", "--precision", "0"],
+    ["report", "--census-year", "2006", "--ks", "0"],
+    ["report", "--census-year", "2006", "--ks", "1,-5,10"],
+    ["rank", "--method", "citations", "--precision", "0"],
+])
+def test_precision_and_ks_below_one_are_usage_errors(tmp_path, toy_paths, command, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_cli(command[0], *corpus_args(toy_paths), *command[1:], "--out", out) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_compare_ks_below_one_is_a_usage_error(tmp_path, data_dir, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    metric = data_dir / "top20_medicine2006_eigenfactor.json"
+    assert run_cli("compare", "--metrics", f"{metric},{metric}", "--ks", "0", "--out", out) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -250,8 +285,8 @@ def test_compare_scatter_round_trips_full_precision(tmp_path, data_dir):
 
 def test_compare_too_few_common_journals(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_metric_file(MetricVector("custom", {"x": 1.0, "y": 2.0, "z": 3.0}, ""), a)
-    write_metric_file(MetricVector("custom", {"x": 1.0, "y": 2.0, "w": 3.0}, ""), b)
+    write_metric_file(MetricVector.from_scores("custom", {"x": 1.0, "y": 2.0, "z": 3.0}, ""), a)
+    write_metric_file(MetricVector.from_scores("custom", {"x": 1.0, "y": 2.0, "w": 3.0}, ""), b)
     assert run_cli("compare", "--metrics", f"{a},{b}", "--out", tmp_path / "o") == 1
     assert ">= 3 common journals" in capsys.readouterr().err
 
@@ -279,7 +314,7 @@ def test_compare_rejects_malformed_metric_file(tmp_path, payload, fragment, caps
     bad = tmp_path / "bad.json"
     bad.write_text(payload + "\n")
     good = tmp_path / "good.json"
-    write_metric_file(MetricVector("custom", {"a": 1.0, "b": 2.0, "c": 3.0}, ""), good)
+    write_metric_file(MetricVector.from_scores("custom", {"a": 1.0, "b": 2.0, "c": 3.0}, ""), good)
     assert run_cli("compare", "--metrics", f"{bad},{good}", "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"citerank: error: {bad}: ")

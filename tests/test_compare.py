@@ -17,7 +17,6 @@ from scipy.stats import rankdata
 
 from citerank.compare import (
     EllipseParams,
-    RankRow,
     _descending_ranks,
     compare_metrics,
     concentration,
@@ -31,9 +30,11 @@ from citerank.compare import (
 from citerank.errors import ComparisonError
 from citerank.metrics import MetricVector
 
+from conftest import RankRow, rank_rows
+
 
 def vec(scores, name="custom"):
-    return MetricVector(name, dict(scores), "test stub")
+    return MetricVector.from_scores(name, dict(scores), "test stub")
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +73,25 @@ def oracle_spearman_shortcut(xs, ys):
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
+def test_pairing_tells_an_id_from_the_same_id_with_a_trailing_nul():
+    x = vec({"a": 1.0, "a\u0000": 2.0, "b": 3.0, "c": 4.0})
+    y = vec({"a": 10.0, "a\u0000": 1000.0, "b": 100.0, "d": 5.0})
+    report = compare_metrics(x, y)
+    assert report.n == 3
+    assert report.omitted == ("c", "d")
+    ids, lx, ly = report.scatter
+    assert ids == ["a", "a\u0000", "b"]
+    assert lx.tolist() == np.log10([1.0, 2.0, 3.0]).tolist()
+    assert ly.tolist() == [1.0, 3.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # rank
 
 
 def test_rank_direct_ordering():
     table = rank(vec({"A": 3.0, "B": 1.0, "C": 2.0}))
-    assert table.rows == (
+    assert rank_rows(table) == (
         RankRow("A", 3.0, 1),
         RankRow("C", 2.0, 2),
         RankRow("B", 1.0, 3),
@@ -87,18 +100,18 @@ def test_rank_direct_ordering():
 
 def test_rank_average_tie_policy():
     table = rank(vec({"A": 5.0, "B": 5.0, "C": 1.0}), tie_policy="average")
-    assert [(r.journal, r.rank) for r in table.rows] == [("A", 1.5), ("B", 1.5), ("C", 3.0)]
+    assert [(r.journal, r.rank) for r in rank_rows(table)] == [("A", 1.5), ("B", 1.5), ("C", 3.0)]
 
 
 def test_rank_min_tie_policy():
     table = rank(vec({"A": 5.0, "B": 5.0, "C": 1.0}), tie_policy="min")
-    assert [(r.journal, r.rank) for r in table.rows] == [("A", 1), ("B", 1), ("C", 3)]
-    assert all(isinstance(r.rank, int) for r in table.rows)
+    assert [(r.journal, r.rank) for r in rank_rows(table)] == [("A", 1), ("B", 1), ("C", 3)]
+    assert all(isinstance(r.rank, int) for r in rank_rows(table))
 
 
 def test_rank_breaks_display_ties_by_id():
     table = rank(vec({"zz": 2.0, "aa": 2.0, "mm": 2.0}))
-    assert [r.journal for r in table.rows] == ["aa", "mm", "zz"]
+    assert [r.journal for r in rank_rows(table)] == ["aa", "mm", "zz"]
 
 
 def test_rank_rejects_empty_and_bad_policy():
@@ -113,8 +126,8 @@ def test_rank_rescale_invariance_exact():
     for factor in (0.25, 2.0, 8.0):  # powers of two scale exactly
         base = rank(vec(scores), tie_policy="average")
         scaled = rank(vec({j: factor * v for j, v in scores.items()}), tie_policy="average")
-        assert [(r.journal, r.rank) for r in base.rows] == [
-            (r.journal, r.rank) for r in scaled.rows
+        assert [(r.journal, r.rank) for r in rank_rows(base)] == [
+            (r.journal, r.rank) for r in rank_rows(scaled)
         ]
 
 
@@ -122,13 +135,13 @@ def test_rank_rescale_invariance_exact():
 def test_rank_min_policy_is_permutation_without_ties(values):
     scores = {f"J{i}": float(v) for i, v in enumerate(values)}
     table = rank(vec(scores), tie_policy="min")
-    assert sorted(r.rank for r in table.rows) == list(range(1, len(values) + 1))
+    assert sorted(r.rank for r in rank_rows(table)) == list(range(1, len(values) + 1))
 
 
 def test_rank_bundled_eigen_column_matches_published_order(top20_eigen, published_ranks):
     table = rank(top20_eigen, tie_policy="min")
-    assert [r.rank for r in table.rows] == list(range(1, 21))
-    for row in table.rows:
+    assert [r.rank for r in rank_rows(table)] == list(range(1, 21))
+    for row in rank_rows(table):
         assert published_ranks[row.journal]["eigenfactor"] == row.rank
 
 
@@ -178,7 +191,7 @@ def test_descending_ranks_match_scipy_rankdata(values, tie_policy):
 
 def test_average_ranks_with_ties():
     table = rank(vec({"a": 7.0, "b": 1.0, "c": 7.0, "d": 3.0}), tie_policy="average")
-    ranks = {row.journal: row.rank for row in table.rows}
+    ranks = {row.journal: row.rank for row in rank_rows(table)}
     assert [ranks[jid] for jid in "abcd"] == [1.5, 4.0, 1.5, 3.0]
 
 

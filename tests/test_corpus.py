@@ -1,5 +1,6 @@
 """Corpus model, CSV parsing and serialization round-trips."""
 
+import codecs
 import csv
 import io
 
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 from citerank.corpus import (
     CitationWindow,
     Corpus,
-    Journal,
     _first_problem,
     _loadtxt_columns,
+    _loadtxt_journals,
+    _no_records,
+    _parse_journals,
     _row_columns,
+    _row_journals,
     dump_citations,
     dump_journals,
     parse_corpus,
@@ -22,7 +26,7 @@ from citerank.corpus import (
 from citerank.errors import CorpusError
 from citerank.syngen import GenSettings, generate
 
-from conftest import build_corpus, citation_dict, citation_rows, corpus_from
+from conftest import JournalRow, build_corpus, citation_dict, citation_rows, corpus_from, journal_dict
 
 
 def parse_strings(journals_text, citations_text):
@@ -53,7 +57,7 @@ def test_parse_empty_citations_file():
     corpus = parse_strings(JOURNALS_3, "citing,cited,citing_year,cited_year,count\n")
     assert corpus.n_journals == 3
     assert citation_dict(corpus) == {}
-    assert corpus.journals["a"].articles_by_year == {2005: 10, 2006: 12}
+    assert journal_dict(corpus)["a"].articles_by_year == {2005: 10, 2006: 12}
 
 
 def test_parse_zero_byte_files_yield_empty_corpus():
@@ -87,11 +91,11 @@ def test_parse_keeps_distinct_year_keys_separate():
 
 def test_parse_journal_row_with_empty_year_declares_journal():
     corpus = parse_strings("id,name,year,articles\nx,No Data,,\n", "")
-    assert corpus.journals["x"].articles_by_year == {}
+    assert journal_dict(corpus)["x"].articles_by_year == {}
 
 
 def test_parse_quoted_name_with_comma(toy_corpus):
-    assert toy_corpus.journals["gamma"].name == "Gamma, Applied"
+    assert journal_dict(toy_corpus)["gamma"].name == "Gamma, Applied"
 
 
 def test_parse_skips_blank_lines():
@@ -146,15 +150,19 @@ def test_parse_citation_grammar(citations_text, expected):
     assert citation_dict(parse_strings(JOURNALS_3 + declared.getvalue(), citations_text)) == expected
 
 
-@pytest.mark.parametrize("year, articles", [(" 2005 ", "10"), ("2005", "+10"), ("02005", "010")])
+@pytest.mark.parametrize("year, articles", [
+    (" 2005 ", "10"), ("2005", "+10"), ("02005", "010"),
+    # \x1c is whitespace to the grammar and to loadtxt, though not to int()
+    ("\x1c2005", "10\x1f"),
+])
 def test_parse_journal_grammar(year, articles):
     corpus = parse_strings(f"id,name,year,articles\na,Alpha,{year},{articles}\n", "")
-    assert corpus.journals["a"].articles_by_year == {2005: 10}
+    assert journal_dict(corpus)["a"].articles_by_year == {2005: 10}
 
 
 FIELD_TEXTS = st.sampled_from([
     "a", "b", "zz", "", " a", '"a"', '"a"x', 'a"', '"a,b"', "1", "2005", "2006", " 7 ",
-    "+3", "-1", "0", "007", "1_0", "1.0", "0x1", "\t2\x0c", '"5"', "5\n", "9" * 19,
+    "+3", "-1", "0", "007", "1_0", "1.0", "0x1", "\t2\x0c", '"5"', "5\n", "9" * 19, "\x1c5",
 ])
 ROW_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", ",\n", "\n\n", " \n"])
 
@@ -179,6 +187,51 @@ def test_loadtxt_and_row_loop_agree(header_ending, rows, tail):
             _row_columns(raw, ids)
     else:
         assert [c.tolist() for c in _row_columns(raw, ids)] == [c.tolist() for c in fast]
+
+
+JOURNAL_IDS = st.sampled_from(["a", "b", '"a,b"', '"a"', " a", ""])
+# Each id's usual name, so that most files name each journal consistently.
+USUAL_NAMES = {"a": '"Gamma, Applied"', "b": '"Q ""x"""', '"a,b"': "Alpha", '"a"': '"Gamma, Applied"'}
+JOURNAL_NAMES = st.sampled_from(5 * [None] + ["Alpha", '"Gamma, Applied"', "", '"5"'])
+# Valid numbers five times over, so that most rows parse.
+JOURNAL_NUMBERS = st.sampled_from(5 * ["2004", "2005", "2006", " 7 ", "+3", "0", "007"] + [
+    "-1", "", "1_0", "1.0", '"5"', '"5\n"', "\x1c5", "9" * 19,
+])
+NUMBER_PAIRS = st.tuples(JOURNAL_NUMBERS, JOURNAL_NUMBERS)
+# One row in four declares a journal without article data.
+JOURNAL_ROWS = st.tuples(
+    JOURNAL_IDS, JOURNAL_NAMES, st.one_of(NUMBER_PAIRS, NUMBER_PAIRS, NUMBER_PAIRS, st.just(("", "")))
+).map(lambda row: [row[0], USUAL_NAMES.get(row[0], "Beta") if row[1] is None else row[1], *row[2]])
+
+
+@given(st.sampled_from(["\n", "\r\n", "\r"]),
+       # Mostly distinct (id, year) rows, so that most files have no duplicate year.
+       st.lists(st.tuples(JOURNAL_ROWS, st.sampled_from(2 * ["\n", "\r\n", "\r", "\n\n"] + [",\n"])),
+                max_size=6, unique_by=lambda row: (row[0][0], row[0][2])),
+       st.sampled_from(["", "\n", "\r\n", "\r", " "]))
+@settings(max_examples=500, deadline=None)
+def test_journals_loadtxt_and_row_loop_agree(header_ending, rows, tail):
+    """Whatever numpy's parser reads from journals.csv, the csv row loop reads
+    identically; a byte order mark changes neither."""
+    text = "id,name,year,articles" + header_ending + "".join(
+        ",".join(fields) + ending for fields, ending in rows
+    ) + tail
+    raw = text.encode("ascii")
+    try:
+        fast = _loadtxt_journals(raw)
+    except (ValueError, csv.Error, CorpusError):
+        fast = None  # rejected files always go to the row loop
+    try:
+        slow = _row_journals(raw)
+    except CorpusError as exc:
+        assert fast is None
+        with pytest.raises(CorpusError) as with_bom:
+            _parse_journals(codecs.BOM_UTF8 + raw)
+        assert str(with_bom.value) == str(exc)
+        return
+    if fast is not None:
+        assert [list(c) for c in fast] == [list(c) for c in slow]
+    assert [list(c) for c in _parse_journals(codecs.BOM_UTF8 + raw)] == [list(c) for c in slow]
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +325,16 @@ def test_parse_error_message_prefixes_line_number():
 
 
 def test_journal_rejects_negative_articles():
-    with pytest.raises(CorpusError):
-        Journal(id="a", name="Alpha", articles_by_year={2006: -1})
+    with pytest.raises(CorpusError, match="negative article count"):
+        corpus_from([JournalRow(id="a", name="Alpha", articles_by_year={2006: -1})], [])
 
 
 def test_journal_rejects_empty_id():
-    with pytest.raises(CorpusError):
-        Journal(id="", name="Anon")
+    with pytest.raises(CorpusError, match="non-empty"):
+        corpus_from([JournalRow(id="", name="Anon")], [])
 
 
-AB = [Journal("a", "Alpha"), Journal("b", "Beta")]
+AB = [JournalRow("a", "Alpha"), JournalRow("b", "Beta")]
 
 
 def test_record_rejects_zero_count():
@@ -294,24 +347,29 @@ def test_record_rejects_future_cited_year():
         corpus_from(AB, [("a", "b", 2005, 2006, 1)])
 
 
-def test_corpus_rejects_journal_keyed_under_another_id():
-    with pytest.raises(CorpusError, match="carries id"):
-        Corpus({"a": Journal("a", "Alpha"), "b": Journal("a", "Alias")}, [], [], [], [], [])
+@pytest.mark.parametrize("ids", [("b", "a"), ("a", "a")])
+def test_corpus_rejects_unsorted_or_repeated_ids(ids):
+    with pytest.raises(CorpusError, match="sorted and unique"):
+        Corpus(ids, ("Alpha", "Alias"), [], [], [], [], [], [], [], [])
 
 
 @pytest.mark.parametrize("column", [[1.5], [True], np.array([2**63], dtype=np.uint64)])
 def test_corpus_rejects_columns_that_are_not_int64(column):
     positions = np.zeros(len(column), dtype=np.int64)
     counts = np.ones(len(column), dtype=np.int64)
+    journal = (("a",), ("Alpha",))
+    no_articles = ([], [], [])
     with pytest.raises(CorpusError, match="integers"):
-        Corpus({"a": Journal("a", "Alpha")}, positions, positions, counts + 2005, column, counts)
+        Corpus(*journal, *no_articles, positions, positions, counts + 2005, column, counts)
     with pytest.raises(CorpusError, match="integers"):
-        Corpus({"a": Journal("a", "Alpha")}, positions, positions, counts + 2005, counts, column)
+        Corpus(*journal, *no_articles, positions, positions, counts + 2005, counts, column)
+    with pytest.raises(CorpusError, match="integers"):
+        Corpus(*journal, positions, counts + 2005, column, *_no_records())
 
 
 def test_corpus_rejects_citation_to_unknown_journal():
     with pytest.raises(CorpusError, match="unknown journal id"):
-        corpus_from([Journal("a", "Alpha")], [("a", "b", 2006, 2005, 1)])
+        corpus_from([JournalRow("a", "Alpha")], [("a", "b", 2006, 2005, 1)])
 
 
 def test_build_merges_records():
@@ -322,17 +380,23 @@ def test_build_merges_records():
     assert citation_dict(corpus) == {("a", "b", 2006, 2005): 5}
 
 
+def test_articles_in_sums_each_journals_years(toy_corpus):
+    assert toy_corpus.ids == ("alpha", "beta", "delta", "gamma", "omega")
+    assert toy_corpus.articles_in((2004, 2005)).tolist() == [210.0, 105.0, 40.0, 60.0, 0.0]
+    assert toy_corpus.articles_in(()).tolist() == [0.0] * 5
+
+
 def test_total_count_and_year_range(toy_corpus):
     assert toy_corpus.total_count() == 188
     assert toy_corpus.year_range() == (2004, 2006)
 
 
 def test_year_range_none_when_no_years():
-    assert corpus_from([Journal("a", "Alpha")], []).year_range() is None
+    assert corpus_from([JournalRow("a", "Alpha")], []).year_range() is None
 
 
 def test_records_round_trip(toy_corpus):
-    rebuilt = corpus_from(toy_corpus.journals.values(), citation_rows(toy_corpus))
+    rebuilt = corpus_from(journal_dict(toy_corpus).values(), citation_rows(toy_corpus))
     assert rebuilt == toy_corpus
 
 
@@ -395,7 +459,7 @@ def test_round_trip_generated_50_journals():
 
 
 def test_round_trip_journal_without_article_data():
-    corpus = corpus_from([Journal("x", "No Data")], [])
+    corpus = corpus_from([JournalRow("x", "No Data")], [])
     jtext, ctext = serialize(corpus)
     assert "x,No Data,,\n" in jtext
     assert parse_strings(jtext, ctext) == corpus
@@ -421,7 +485,7 @@ def corpora(draw):
         years = draw(
             st.dictionaries(st.integers(2000, 2006), st.integers(0, 99), max_size=4)
         )
-        journals.append(Journal(id=jid, name=name, articles_by_year=years))
+        journals.append(JournalRow(id=jid, name=name, articles_by_year=years))
     records = draw(
         st.lists(
             st.tuples(
@@ -450,6 +514,6 @@ def test_round_trip_property(corpus):
 def test_merge_order_independent(corpus, rnd):
     records = citation_rows(corpus)
     rnd.shuffle(records)
-    rebuilt = corpus_from(corpus.journals.values(), records)
+    rebuilt = corpus_from(journal_dict(corpus).values(), records)
     assert rebuilt == corpus
     assert rebuilt.total_count() == corpus.total_count()

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citerank.corpus import CitationWindow, Corpus, Journal
+from citerank.corpus import CitationWindow, Corpus
 from citerank.eigenrank import EigenSettings, build_matrix, eigen_scores
 from citerank.errors import ConvergenceError, MatrixBuildError
 
-from conftest import build_corpus, citation_dict, seeded_corpus
+from conftest import build_corpus, citation_dict, journal_dict, seeded_corpus
 from dense_oracle import DENSE_ORACLE_MAX_ORDER, dense_oracle_scores
 
 
@@ -263,7 +263,7 @@ def test_dense_oracle_rejects_large_matrices():
 def test_count_scale_invariance():
     base = seeded_corpus(77)
     scaled = build_corpus(
-        [(jid, j.articles_by_year) for jid, j in base.journals.items()],
+        [(jid, j.articles_by_year) for jid, j in journal_dict(base).items()],
         [key + (7 * count,) for key, count in citation_dict(base).items()],
     )
     m1, a1 = build_matrix(base)
@@ -277,9 +277,9 @@ def test_count_scale_invariance():
 def test_permutation_equivariance():
     """Relabeling journals (which reorders the matrix) permutes scores only."""
     base = seeded_corpus(88)
-    relabel = {jid: f"Z{9 - i}_{jid}" for i, jid in enumerate(sorted(base.journals))}
+    relabel = {jid: f"Z{9 - i}_{jid}" for i, jid in enumerate(list(base.ids))}
     renamed = build_corpus(
-        [(relabel[jid], j.articles_by_year) for jid, j in base.journals.items()],
+        [(relabel[jid], j.articles_by_year) for jid, j in journal_dict(base).items()],
         [
             (relabel[citing], relabel[cited], cy, py, count)
             for (citing, cited, cy, py), count in citation_dict(base).items()

@@ -10,7 +10,7 @@ from citerank.corpus import CitationWindow
 from citerank.errors import MetricError
 from citerank.metrics import MetricVector, impact_factor, total_citations
 
-from conftest import build_corpus, citation_dict, corpus_from, seeded_corpus
+from conftest import build_corpus, citation_dict, corpus_from, journal_dict, seeded_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -19,17 +19,35 @@ from conftest import build_corpus, citation_dict, corpus_from, seeded_corpus
 
 def test_metric_vector_rejects_unknown_name():
     with pytest.raises(MetricError):
-        MetricVector("h-index", {"a": 1.0})
+        MetricVector.from_scores("h-index", {"a": 1.0})
 
 
 @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
 def test_metric_vector_rejects_non_finite_or_negative(bad):
     with pytest.raises(MetricError):
-        MetricVector("custom", {"a": bad})
+        MetricVector.from_scores("custom", {"a": bad})
 
 
 def test_metric_vector_len():
-    assert len(MetricVector("custom", {"a": 1.0, "b": 2.0})) == 2
+    assert len(MetricVector.from_scores("custom", {"a": 1.0, "b": 2.0})) == 2
+
+
+def test_metric_vector_holds_sorted_ids_and_read_only_scores():
+    vector = MetricVector.from_scores("custom", {"b": 2.0, "a": 1.0})
+    assert vector.ids == ("a", "b")
+    assert vector.values.tolist() == [1.0, 2.0]
+    assert dict(vector.scores) == {"a": 1.0, "b": 2.0}
+    with pytest.raises(ValueError):
+        vector.values[0] = 5.0
+    with pytest.raises(TypeError):
+        vector.scores["a"] = 5.0
+
+
+@pytest.mark.parametrize("ids, values", [(("b", "a"), [1.0, 2.0]), (("a", "a"), [1.0, 2.0]),
+                                         (("a", "b"), [1.0])])
+def test_metric_vector_rejects_unsorted_or_misaligned_ids(ids, values):
+    with pytest.raises(MetricError):
+        MetricVector("custom", ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +107,13 @@ def test_total_citations_all_years_additive_over_census_years(seed):
         for key, count in citation_dict(corpus).items()
         if key[3] < key[2]
     }
-    corpus = corpus_from(corpus.journals.values(), [key + (count,) for key, count in strict.items()])
+    corpus = corpus_from(journal_dict(corpus).values(), [key + (count,) for key, count in strict.items()])
     full = total_citations(corpus).scores
     by_year = [
         total_citations(corpus, CitationWindow.cited(year, span=10)).scores
         for year in (2004, 2005, 2006)
     ]
-    for jid in corpus.journals:
+    for jid in corpus.ids:
         assert sum(v[jid] for v in by_year) == full[jid]
 
 
@@ -176,7 +194,7 @@ def test_impact_factor_omission_property(seed, data):
     census = 2006
     # knock out the denominator years for a random subset of journals
     gutted = data.draw(
-        st.sets(st.sampled_from(sorted(base.journals)), max_size=base.n_journals)
+        st.sets(st.sampled_from(list(base.ids)), max_size=base.n_journals)
     )
     corpus = build_corpus(
         [
@@ -186,12 +204,12 @@ def test_impact_factor_omission_property(seed, data):
                 if jid in gutted
                 else journal.articles_by_year,
             )
-            for jid, journal in base.journals.items()
+            for jid, journal in journal_dict(base).items()
         ],
         [key + (count,) for key, count in citation_dict(base).items()],
     )
     vector = impact_factor(corpus, census)
-    for jid, journal in corpus.journals.items():
+    for jid, journal in journal_dict(corpus).items():
         denominator = journal.articles_by_year.get(census - 1, 0) + \
             journal.articles_by_year.get(census - 2, 0)
         if denominator == 0:
@@ -215,7 +233,7 @@ def test_impact_factor_integer_scale_property(seed, factor):
     scaled = build_corpus(
         [
             (jid, {y: factor * n for y, n in journal.articles_by_year.items()})
-            for jid, journal in corpus.journals.items()
+            for jid, journal in journal_dict(corpus).items()
         ],
         [
             (citing, cited, citing_year, cited_year, factor * count)

@@ -9,7 +9,7 @@ from citerank.corpus import dump_citations, dump_journals
 from citerank.metrics import total_citations
 from citerank.syngen import GenSettings, generate
 
-from conftest import citation_dict
+from conftest import citation_dict, journal_dict
 
 
 def serialized(corpus):
@@ -43,7 +43,7 @@ def test_different_seeds_differ():
 def test_single_journal_cites_only_itself():
     corpus = generate(GenSettings(n_journals=1, years=(2005, 2006), seed=4))
     assert corpus.n_journals == 1
-    (jid,) = corpus.journals
+    (jid,) = corpus.ids
     for citing, cited, _, _ in citation_dict(corpus):
         assert citing == jid and cited == jid
 
@@ -51,11 +51,11 @@ def test_single_journal_cites_only_itself():
 def test_generated_corpus_is_valid():
     corpus = generate(GenSettings(n_journals=60, years=(2002, 2006), seed=8))
     first, last = 2002, 2006
-    for journal in corpus.journals.values():
+    for journal in journal_dict(corpus).values():
         assert sorted(journal.articles_by_year) == list(range(first, last + 1))
         assert all(n >= 1 for n in journal.articles_by_year.values())
     for (citing, cited, citing_year, cited_year), count in citation_dict(corpus).items():
-        assert citing in corpus.journals and cited in corpus.journals
+        assert citing in corpus.ids and cited in corpus.ids
         assert first <= citing_year <= last
         assert first <= cited_year <= citing_year
         assert count >= 1
