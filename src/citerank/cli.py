@@ -31,10 +31,31 @@ METHODS = ("eigenfactor", "citations", "impact-factor")
 # file formats
 
 
+def _json_text(obj, pad: str = "") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for an object
+    on a line indented by `pad`.  A dict that holds containers must have string keys.
+
+    `indent` turns off json's C encoder, so the containers are written by hand
+    down to those that hold only scalars, which the C encoder writes.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(value, (dict, list, tuple)) for value in values):
+        text = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))
+    elif isinstance(obj, dict):
+        text = "{%s}" % (",\n" + inner).join(
+            f"{json.dumps(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items())
+        )
+    else:
+        text = "[%s]" % (",\n" + inner).join(_json_text(value, inner) for value in obj)
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+
+
 def write_json(obj, path: Path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+        f.write(_json_text(obj) + "\n")
 
 
 def write_metric_file(vector: MetricVector, path: Path) -> None:

@@ -358,7 +358,7 @@ def _loadtxt_table(
     header = next(csv.reader([raw[:body_start].decode("ascii")]), None)
     _check_header(header, expected, what)
     if _NON_BLANK.search(raw, body_start) is None:
-        return np.empty((0,) * ndmin, dtype=dtype)  # loadtxt would warn about an empty body
+        return np.empty((0, len(expected))[:ndmin], dtype=dtype)  # loadtxt would warn
     body = io.BytesIO(raw)
     body.seek(body_start)
     return np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
@@ -368,18 +368,38 @@ def _loadtxt_table(
 def _loadtxt_journals(raw: bytes) -> tuple:
     """The Corpus journal fields of journals.csv, read by numpy's C parser.
 
-    Ids and names are read as numpy's variable-width strings: a fixed width
-    would size every row by the longest name.  A row without year and
-    articles fails the integer read.  Raises ValueError, csv.Error or
-    CorpusError for any file it cannot read; the caller then parses row by
-    row.
+    Every field is read as numpy's variable-width strings: a fixed width
+    would size every row by the longest name.  Raises ValueError, csv.Error
+    or CorpusError for any file it cannot read; the caller then parses row
+    by row.
     """
     text = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.dtypes.StringDType(), ndmin=2)
     if text.shape[1:] != (len(JOURNALS_HEADER),):
         raise ValueError(f"journals rows need {len(JOURNALS_HEADER)} fields")
-    year, count = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.int64, ndmin=2,
-                                 usecols=(2, 3)).T
-    return _journal_columns(text[:, 0], text[:, 1], np.ones(len(text), dtype=bool), year, count)
+    data = (text[:, 2] != "") | (text[:, 3] != "")  # else a journal without article data
+    if data.all():  # numpy's integer reader is three times faster, but fails on empty fields
+        numbers = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.int64, ndmin=2,
+                                 usecols=(2, 3))
+    else:
+        numbers = np.zeros((len(text), 2), dtype=np.int64)
+        numbers[data] = _text_integers(text[data, 2:])
+    return _journal_columns(text[:, 0], text[:, 1], data, numbers[:, 0], numbers[:, 1])
+
+
+def _text_integers(fields: np.ndarray) -> np.ndarray:
+    """ASCII string fields as int64, under the grammar of `_integers`.
+
+    Raises ValueError for a field outside that grammar or the int64 range.
+    """
+    stripped = np.strings.strip(fields)  # the whitespace \s matches
+    unsigned = np.strings.lstrip(stripped, "+-")
+    signs = np.strings.str_len(stripped) - np.strings.str_len(unsigned)
+    if not (np.strings.isdigit(unsigned) & (signs <= 1)).all():
+        raise ValueError("malformed numeric field")
+    try:
+        return stripped.astype(np.int64)
+    except OverflowError as exc:
+        raise ValueError("numeric field outside the int64 range") from exc
 
 
 def _row_journals(raw: bytes) -> tuple:
@@ -458,15 +478,20 @@ def _no_records() -> tuple[np.ndarray, ...]:
 def _loadtxt_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Citation columns read by numpy's C parser.
 
-    Raises ValueError, csv.Error or CorpusError for any file it cannot read; the caller
-    then parses row by row.  Only call it on ASCII input without NUL bytes,
-    and ids without NULs: fixed-width byte strings drop trailing NULs.
+    Raises ValueError, csv.Error or CorpusError for any file it cannot read,
+    or whose id columns would take more memory than the file; the caller then
+    parses row by row.  Only call it on ASCII input without NUL bytes, and ids
+    without NULs: fixed-width byte strings drop trailing NULs.
     """
     # No id contains a NUL, so joining on it and splitting the encoded text
     # encodes each id.
     encoded = np.array("\0".join(ids).encode("utf-8").split(b"\0") if ids else [], dtype=bytes)
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
     width = encoded.itemsize + 1
+    # The two id columns must fit in the file's size, or one long id would
+    # multiply the memory by the record count.  A line ends in \n, \r\n or \r.
+    if 2 * width * (max(raw.count(b"\n"), raw.count(b"\r")) + 1) > len(raw):
+        raise ValueError("the fixed-width id columns would outgrow the file")
     table = _loadtxt_table(
         raw, CITATIONS_HEADER, "citations",
         [("citing", f"S{width}"), ("cited", f"S{width}"),

@@ -17,6 +17,13 @@ DENSE_ORACLE_MAX_ORDER = 64
 DENSE_ORACLE_MULTIPLICATIONS = 10_000
 
 
+def dense_matrix(matrix: CrossCitationMatrix) -> np.ndarray:
+    """H as a dense array, built from the entries with `np.add.at`."""
+    H = np.zeros((matrix.order, matrix.order))
+    np.add.at(H, (matrix.rows, matrix.columns), matrix.weights)
+    return H
+
+
 def dense_oracle_scores(
     matrix: CrossCitationMatrix,
     articles: np.ndarray,
@@ -33,7 +40,7 @@ def dense_oracle_scores(
             f"dense oracle limited to order <= {DENSE_ORACLE_MAX_ORDER}, got {n}"
         )
     a = articles
-    H = matrix.matrix.toarray()
+    H = dense_matrix(matrix)
     H[:, matrix.dangling] = a[:, None]
     P = settings.alpha * H + (1.0 - settings.alpha) * np.outer(a, np.ones(n))
     p = np.full(n, 1.0 / n)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citerank import compare
-from citerank.cli import load_metric_file, main, write_metric_file
+from citerank.cli import _json_text, load_metric_file, main, write_metric_file
 from citerank.compare import concentration
 from citerank.corpus import load_corpus
 from citerank.metrics import MetricVector
@@ -32,6 +34,20 @@ def dir_digest(path: Path) -> dict[str, str]:
         for p in sorted(path.rglob("*"))
         if p.is_file()
     }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_the_indented_encoder(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +495,22 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("citerank ")
+
+
+def test_no_command_imports_scipy(tmp_path):
+    """scipy is a test dependency only: importing the package and running
+    `gen` and `report` load no scipy module."""
+    script = (
+        "import sys\n"
+        "import citerank, citerank.cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert citerank.cli.main(['gen', '--journals', '40', '--out', out]) == 0\n"
+        "assert citerank.cli.main(['report', '--journals', out + '/journals.csv',"
+        " '--citations', out + '/citations.csv', '--census-year', '2006',"
+        " '--out', out + '/report']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

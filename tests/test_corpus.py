@@ -3,6 +3,7 @@
 import codecs
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ JOURNAL_ROWS = st.tuples(
 @settings(max_examples=500, deadline=None)
 def test_journals_loadtxt_and_row_loop_agree(header_ending, rows, tail):
     """Whatever numpy's parser reads from journals.csv, the csv row loop reads
-    identically; a byte order mark changes neither."""
+    identically, and a byte order mark changes neither.  Rows without year and
+    articles stay on numpy's parser."""
     text = "id,name,year,articles" + header_ending + "".join(
         ",".join(fields) + ending for fields, ending in rows
     ) + tail
@@ -229,9 +231,29 @@ def test_journals_loadtxt_and_row_loop_agree(header_ending, rows, tail):
             _parse_journals(codecs.BOM_UTF8 + raw)
         assert str(with_bom.value) == str(exc)
         return
+    # Without a bare CR, whatever file the row loop reads loadtxt reads too.
+    if "\r" not in text.replace("\r\n", ""):
+        assert fast is not None
     if fast is not None:
         assert [list(c) for c in fast] == [list(c) for c in slow]
     assert [list(c) for c in _parse_journals(codecs.BOM_UTF8 + raw)] == [list(c) for c in slow]
+
+
+def test_a_long_journal_id_does_not_multiply_the_parse_memory():
+    """Fixed-width id columns sized by a 5,000-byte id would take 625 times the
+    citations file; such a file is read row by row instead."""
+    journals = f"id,name,year,articles\na,A,2006,1\nb,B,2006,1\n{'x' * 5000},Long,2006,1\n"
+    citations = "citing,cited,citing_year,cited_year,count\n" + 2_000 * (
+        "a,b,2006,2005,1\nb,a,2006,2004,2\n"
+    )
+    tracemalloc.start()
+    try:
+        corpus = parse_strings(journals, citations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert citation_rows(corpus) == [("a", "b", 2006, 2005, 2_000), ("b", "a", 2006, 2004, 4_000)]
+    assert peak < 32 * len(citations)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ several tests here assert their agreement rather than hand-computed
 values.
 """
 
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +19,7 @@ from citerank.eigenrank import EigenSettings, build_matrix, eigen_scores
 from citerank.errors import ConvergenceError, MatrixBuildError
 
 from conftest import build_corpus, citation_dict, journal_dict, seeded_corpus
-from dense_oracle import DENSE_ORACLE_MAX_ORDER, dense_oracle_scores
+from dense_oracle import DENSE_ORACLE_MAX_ORDER, dense_matrix, dense_oracle_scores
 
 
 def mutual_pair():
@@ -27,7 +30,7 @@ def mutual_pair():
 
 
 def column(matrix, journal_id):
-    dense = matrix.matrix.toarray()
+    dense = dense_matrix(matrix)
     j = matrix.journal_ids.index(journal_id)
     return {jid: dense[i, j] for i, jid in enumerate(matrix.journal_ids) if dense[i, j]}
 
@@ -39,7 +42,7 @@ def column(matrix, journal_id):
 def test_build_matrix_mutual_pair():
     matrix, articles = build_matrix(mutual_pair())
     assert matrix.journal_ids == ("A", "B")
-    assert matrix.matrix.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert dense_matrix(matrix).tolist() == [[0.0, 1.0], [1.0, 0.0]]
     assert articles.tolist() == [0.5, 0.5]
     assert not matrix.dangling.any()
 
@@ -65,7 +68,7 @@ def test_build_matrix_normalizes_and_zeroes_diagonal():
     )
     matrix, _ = build_matrix(corpus, exclude_self=True)
     assert column(matrix, "A") == {"B": 0.75, "C": 0.25}
-    assert np.diagonal(matrix.matrix.toarray()).tolist() == [0.0, 0.0, 0.0]
+    assert np.diagonal(dense_matrix(matrix)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_build_matrix_include_self_keeps_diagonal():
@@ -105,7 +108,7 @@ def test_build_matrix_requires_articles_in_window():
 @settings(max_examples=60, deadline=None)
 def test_build_matrix_column_stochastic_property(seed):
     matrix, articles = build_matrix(seeded_corpus(seed))
-    dense = matrix.matrix.toarray()
+    dense = dense_matrix(matrix)
     sums = dense.sum(axis=0)
     for j in range(matrix.order):
         if matrix.dangling[j]:
@@ -114,6 +117,56 @@ def test_build_matrix_column_stochastic_property(seed):
             assert abs(sums[j] - 1.0) <= 1e-12
     assert ((dense >= 0.0) & (dense <= 1.0)).all()
     assert abs(sum(articles.tolist()) - 1.0) <= 1e-12
+
+
+# (citing, cited, citing_year, cited_year offset, count) over 5 journals: few
+# distinct keys, so (citing, cited) pairs repeat across years and self-citations
+# and journals that cite nothing are common.  Large counts make rounding show.
+RECORDS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(2003, 2006), st.integers(0, 2),
+              st.one_of(st.integers(1, 9), st.integers(1, 2**40))),
+    max_size=40,
+)
+WINDOWS = st.sampled_from(
+    [CitationWindow.all_years(), CitationWindow.cited(2006, span=1), CitationWindow.cited(2006, span=3)]
+)
+
+
+def scipy_reference(corpus, window, exclude_self, settings_):
+    """Scores and iteration count from a compressed-sparse-column H and `@`."""
+    n = corpus.n_journals
+    citing, cited, counts = corpus.select(window, include_self=not exclude_self)
+    H = sp.coo_matrix((counts.astype(float), (cited, citing)), shape=(n, n)).tocsc()
+    sums = np.asarray(H.sum(axis=0)).ravel()
+    H.data /= sums[np.repeat(np.arange(n), np.diff(H.indptr))]
+    dangling = sums == 0.0
+    a = corpus.articles_in(window.publication_years(corpus))
+    a = a / a.sum()
+    p = a.copy()
+    for iterations in range(1, settings_.max_iterations + 1):
+        p_next = settings_.alpha * (H @ p + p[dangling].sum() * a) + (1.0 - settings_.alpha) * a
+        residual = float(np.abs(p_next - p).sum())
+        p = p_next
+        if residual < settings_.tolerance:
+            break
+    flow = H @ p + p[dangling].sum() * a
+    return 100.0 * flow / flow.sum(), iterations
+
+
+@given(RECORDS, WINDOWS, st.booleans(), st.sampled_from([0.5, 0.85]))
+@settings(max_examples=300, deadline=None)
+def test_scores_match_a_scipy_sparse_reference_bit_for_bit(records, window, exclude_self, alpha):
+    corpus = build_corpus(
+        [(f"J{i}", {year: 1 + (i + year) % 4 for year in range(2001, 2007)}) for i in range(5)],
+        [(f"J{citing}", f"J{cited}", year, year - back, count)
+         for citing, cited, year, back, count in records],
+    )
+    settings_ = EigenSettings(alpha=alpha)
+    matrix, articles = build_matrix(corpus, window, exclude_self)
+    vector = eigen_scores(matrix, articles, settings_)
+    expected, iterations = scipy_reference(corpus, window, exclude_self, settings_)
+    assert vector.values.tobytes() == expected.tobytes()
+    assert re.search(r"\biterations=(\d+)", vector.provenance)[1] == str(iterations)
 
 
 # ---------------------------------------------------------------------------
