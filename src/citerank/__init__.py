@@ -15,8 +15,6 @@ from .compare import (
     RankTable,
     compare_metrics,
     concentration,
-    density_ellipse,
-    pearson_log,
     rank,
     rank_gaps,
     spearman,
@@ -25,7 +23,6 @@ from .corpus import (
     CitationWindow,
     Corpus,
     load_corpus,
-    parse_corpus,
     write_corpus,
 )
 from .eigenrank import (
@@ -64,13 +61,10 @@ __all__ = [
     "build_matrix",
     "compare_metrics",
     "concentration",
-    "density_ellipse",
     "eigen_scores",
     "generate",
     "impact_factor",
     "load_corpus",
-    "parse_corpus",
-    "pearson_log",
     "rank",
     "rank_gaps",
     "spearman",

@@ -66,7 +66,10 @@ def write_metric_file(vector: MetricVector, path: Path) -> None:
 
 def load_metric_file(path) -> MetricVector:
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except RecursionError:
+            raise CiteRankError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict) or "metric_name" not in payload or "scores" not in payload:
         raise CiteRankError(f"{path}: not a metric file (needs metric_name and scores)")
     scores = payload["scores"]
@@ -346,15 +349,24 @@ def _parse_years(text: str) -> tuple[int, int]:
         raise CiteRankError(f"--years must look like 2002:2006, got {text!r}") from None
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _integer(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high]."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
+
+
+_at_least_one = _integer(1)
+# Census years and spans within 2**62 keep the window's first year inside int64.
+_YEAR_BOUND = 2**62
 
 
 def _ks(text: str) -> list[int]:
@@ -368,10 +380,10 @@ def _add_corpus_flags(sub) -> None:
 
 
 def _add_rank_flags(sub, census_required: bool = False) -> None:
-    sub.add_argument("--window-span", type=int, default=None,
+    sub.add_argument("--window-span", type=_integer(1, _YEAR_BOUND), default=None,
                      help="publication-year span of the citation window (default: all years)")
-    sub.add_argument("--census-year", type=int, default=None, required=census_required,
-                     help="year whose citations are counted")
+    sub.add_argument("--census-year", type=_integer(-_YEAR_BOUND, _YEAR_BOUND), default=None,
+                     required=census_required, help="year whose citations are counted")
     sub.add_argument("--alpha", type=float, default=0.85, help="damping factor (default 0.85)")
     sub.add_argument("--tol", type=float, default=1e-12, help="L1 residual tolerance (default 1e-12)")
     sub.add_argument("--max-iter", type=int, default=1000, help="iteration cap (default 1000)")

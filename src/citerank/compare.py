@@ -158,27 +158,13 @@ def _spearman(xv: np.ndarray, yv: np.ndarray) -> float:
     return _pearson(_descending_ranks(xv), _descending_ranks(yv), "ranks (all scores tied)")
 
 
-def positive_log_pairs(
-    x: MetricVector, y: MetricVector
-) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
-    """Common journals with strictly positive values on both sides, log10-transformed.
-
-    Returns (ids, log10 x, log10 y, omitted) where omitted covers ids
-    missing from either vector or dropped for a non-positive value.
-    """
-    return _positive_logs(*_paired(x, y))
-
-
 def _positive_logs(common, xv, yv, missing):
+    """The `_paired` journals with strictly positive values on both sides, as
+    (ids, log10 x, log10 y, omitted); omitted covers the ids missing from
+    either vector or dropped for a non-positive value."""
     positive = (xv > 0.0) & (yv > 0.0)
     omitted = sorted(missing + common[~positive].tolist())
     return common[positive].tolist(), np.log10(xv[positive]), np.log10(yv[positive]), omitted
-
-
-def pearson_log(x: MetricVector, y: MetricVector) -> float:
-    """Pearson correlation of (log10 x, log10 y) over positive common pairs."""
-    _, lx, ly, _ = positive_log_pairs(x, y)
-    return _pearson_log(lx, ly)
 
 
 def _pearson_log(lx: np.ndarray, ly: np.ndarray) -> float:
@@ -223,26 +209,15 @@ def _descending(values: np.ndarray) -> np.ndarray:
 _DEGENERATE_RATIO = 1e-12
 
 
-def density_ellipse(
-    x: MetricVector, y: MetricVector, coverage: float = 0.95
-) -> EllipseParams:
-    """Equal-density ellipse of a bivariate normal fitted to (log10 x, log10 y).
+def _ellipse(lx: np.ndarray, ly: np.ndarray, coverage: float) -> EllipseParams:
+    """Equal-density ellipse of a bivariate normal fitted to at least 3 points.
 
     Semi-axes are sqrt(eigenvalue * c) of the sample covariance with
     c = -2 ln(1 - coverage), the chi-square(2) quantile at `coverage`.
     Collinear data yields a degenerate ellipse with minor axis 0.
     """
-    _, lx, ly, _ = positive_log_pairs(x, y)
-    return _ellipse(lx, ly, coverage)
-
-
-def _ellipse(lx: np.ndarray, ly: np.ndarray, coverage: float) -> EllipseParams:
     if not 0.0 < coverage < 1.0:
         raise ComparisonError(f"coverage must be in (0, 1), got {coverage}")
-    if len(lx) < 3:
-        raise ComparisonError(
-            f"density_ellipse needs >= 3 positive common pairs, got {len(lx)}"
-        )
     center = (float(lx.mean()), float(ly.mean()))
     cov = np.cov(lx, ly, ddof=1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)

@@ -27,14 +27,12 @@ CITATIONS_HEADER = ["citing", "cited", "citing_year", "cited_year", "count"]
 # Every count, merged count and corpus total stays at or below 2**53, so
 # float64 sums of counts are exact and int64 sums cannot wrap.
 MAX_COUNT = 2**53
-_INT64 = range(-(2**63), 2**63)
-# The integer fields numpy's loadtxt reads: ASCII digits, an optional sign,
-# surrounding whitespace.  int() gets the number alone: it does not take
-# every character \s matches (\x1c to \x1f) as whitespace.
-_INTEGER = re.compile(r"\s*([+-]?[0-9]+)\s*")
-_NON_BLANK = re.compile(rb"[^\r\n]")
-# The first line and its ending, which may be \n, \r\n or a bare \r.
-_FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
+# The whitespace numpy's integer reader skips around a number, but CR and LF,
+# which no field holds.
+_BLANKS = " \t\v\f\x1c\x1d\x1e\x1f"
+_BREAKS = re.compile("[\0\r\n]")
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+_NON_BLANK = re.compile(rb"[^\n]")
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,11 @@ class CitationWindow:
         )
 
     def publication_years(self, corpus: "Corpus") -> tuple[int, ...]:
+        """The corpus's article years that the window draws article counts from."""
+        years = np.unique(corpus.article_year)
         if self.mode == "cited-window":
-            return tuple(range(self.census_year - self.span, self.census_year))
-        return tuple(np.unique(corpus.article_year).tolist())
+            years = years[(years >= self.census_year - self.span) & (years < self.census_year)]
+        return tuple(years.tolist())
 
     def describe(self) -> str:
         if self.mode == "all-years":
@@ -315,131 +315,99 @@ def _check_header(row: list[str] | None, expected: list[str], what: str) -> None
         )
 
 
-def _data_rows(source: IO[str], expected: list[str], what: str):
-    """(line, row) for each non-blank row after the header, checking the
-    header and each row's field count."""
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        return
-    _check_header(header, expected, what)
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise CorpusError(
-                f"{what} row needs {len(expected)} fields, got {len(row)}", line=reader.line_num
-            )
-        yield reader.line_num, row
+def _text_integers(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A table of string fields as int64, and per row 2 if a field is
+    malformed, else 1 if one is outside the int64 range, else 0.
+
+    The grammar is what numpy's integer reader takes from a field without CR
+    or LF: ASCII digits with an optional sign, between characters of
+    `_BLANKS`.  A field outside it reads as 0.
+    """
+    stripped = np.strings.strip(fields, _BLANKS)
+    digits = np.strings.lstrip(stripped, "+-")
+    signs = np.strings.str_len(stripped) - np.strings.str_len(digits)
+    wellformed = (signs <= 1) & (digits != "") & (np.strings.strip(digits, "0123456789") == "")
+    magnitude = np.strings.lstrip(digits, "0")
+    size = np.strings.str_len(magnitude)
+    lowest = np.strings.startswith(stripped, "-") & (magnitude == str(2**63))
+    in_range = (size < 19) | ((size == 19) & ((magnitude <= str(2**63 - 1)) | lowest))
+    broken = np.where(wellformed, ~in_range, 2).max(axis=1, initial=0)
+    return np.where(wellformed & in_range, stripped, "0").astype(np.int64), broken
 
 
-def _integers(row: list[str], line: int) -> list[int]:
-    """The row's fields from the third on as integers, under the grammar
-    loadtxt reads and within int64."""
-    matches = list(map(_INTEGER.fullmatch, row[2:]))
-    if not all(matches):
-        raise CorpusError(f"malformed numeric field in {row!r}", line=line)
-    numbers = [int(match[1]) for match in matches]
-    if not all(map(_INT64.__contains__, numbers)):
-        raise CorpusError(f"numeric field outside the int64 range in {row!r}", line=line)
-    return numbers
+def _prepared(raw: bytes) -> bytes:
+    """The file for numpy's parser, each CR made a LF (so a CRLF leaves a blank
+    line, which is skipped); ValueError unless it is valid UTF-8 without NUL."""
+    if b"\0" in raw:
+        raise ValueError("the file holds a NUL")
+    if not raw.isascii():  # in slices: a str of the file can take 4 bytes a character
+        decoder = codecs.getincrementaldecoder("utf-8")()  # raises a ValueError
+        for start in range(0, len(raw) + 1, 2**20):
+            decoder.decode(memoryview(raw)[start:start + 2**20], final=start + 2**20 > len(raw))
+    return raw.replace(b"\r", b"\n") if b"\r" in raw else raw
 
 
 def _loadtxt_table(
     raw: bytes, expected: list[str], what: str, dtype, ndmin: int = 1, usecols=None
 ) -> np.ndarray:
-    """The rows after the header, read by numpy's C parser.
+    """The rows after the header of a `_prepared` file, read by numpy's C parser.
 
-    Raises ValueError, csv.Error or CorpusError for a file it cannot read.
-    Only call it on ASCII input without NUL bytes: numpy's integer parser
-    reads some non-ASCII characters as digits.
+    Each byte is read as one character, so string fields hold the UTF-8
+    bytes of the text.  Under that reading numpy's integer reader takes no
+    byte above 0x7F but 0x85 and 0xA0, as whitespace, and in valid UTF-8
+    both follow a lead byte it rejects.  Raises ValueError, csv.Error or
+    CorpusError for a file it cannot read.
     """
-    body_start = _FIRST_LINE.match(raw).end()
-    header = next(csv.reader([raw[:body_start].decode("ascii")]), None)
-    _check_header(header, expected, what)
+    body_start = raw.find(b"\n") + 1 or len(raw)
+    if raw:  # an empty file has no header and no rows
+        _check_header(next(csv.reader([raw[:body_start].decode("latin-1")]), None), expected, what)
     if _NON_BLANK.search(raw, body_start) is None:
         return np.empty((0, len(expected))[:ndmin], dtype=dtype)  # loadtxt would warn
     body = io.BytesIO(raw)
     body.seek(body_start)
     return np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
-                      usecols=usecols, encoding="ascii", dtype=dtype)
+                      usecols=usecols, encoding="latin-1", dtype=dtype)
 
 
-def _loadtxt_journals(raw: bytes) -> tuple:
-    """The Corpus journal fields of journals.csv, read by numpy's C parser.
+def _loadtxt_text(raw: bytes, expected: list[str], what: str) -> np.ndarray:
+    """Every field of a `_prepared` file as a string, one row per record;
+    ValueError for a row of another length or a field holding a line break."""
+    text = _loadtxt_table(raw, expected, what, np.dtypes.StringDType(), ndmin=2)
+    if text.shape[1:] != (len(expected),):
+        raise ValueError(f"{what} rows need {len(expected)} fields")
+    # Only a quoted field can hold a line break.
+    if b'"' in raw and (np.strings.find(text, "\n") >= 0).any():
+        raise ValueError("a field holds a line break")
+    return text
 
-    Every field is read as numpy's variable-width strings: a fixed width
-    would size every row by the longest name.  Raises ValueError, csv.Error
-    or CorpusError for any file it cannot read; the caller then parses row
-    by row.
+
+def _utf8(strings: np.ndarray) -> tuple[str, ...]:
+    """Strings read one character per byte, as the UTF-8 text they hold.
+
+    No field holds a LF, so one join, encode, decode and split does them all.
     """
-    text = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.dtypes.StringDType(), ndmin=2)
-    if text.shape[1:] != (len(JOURNALS_HEADER),):
-        raise ValueError(f"journals rows need {len(JOURNALS_HEADER)} fields")
-    data = (text[:, 2] != "") | (text[:, 3] != "")  # else a journal without article data
-    if data.all():  # numpy's integer reader is three times faster, but fails on empty fields
-        numbers = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.int64, ndmin=2,
-                                 usecols=(2, 3))
-    else:
-        numbers = np.zeros((len(text), 2), dtype=np.int64)
-        numbers[data] = _text_integers(text[data, 2:])
-    return _journal_columns(text[:, 0], text[:, 1], data, numbers[:, 0], numbers[:, 1])
+    if not len(strings):
+        return ()
+    return tuple("\n".join(strings.tolist()).encode("latin-1").decode("utf-8").split("\n"))
 
 
-def _text_integers(fields: np.ndarray) -> np.ndarray:
-    """ASCII string fields as int64, under the grammar of `_integers`.
-
-    Raises ValueError for a field outside that grammar or the int64 range.
-    """
-    stripped = np.strings.strip(fields)  # the whitespace \s matches
-    unsigned = np.strings.lstrip(stripped, "+-")
-    signs = np.strings.str_len(stripped) - np.strings.str_len(unsigned)
-    if not (np.strings.isdigit(unsigned) & (signs <= 1)).all():
-        raise ValueError("malformed numeric field")
-    try:
-        return stripped.astype(np.int64)
-    except OverflowError as exc:
-        raise ValueError("numeric field outside the int64 range") from exc
-
-
-def _row_journals(raw: bytes) -> tuple:
-    """The Corpus journal fields of journals.csv, read row by row with the csv module.
-
-    Accepts the same grammar as `_loadtxt_journals` and raises a CorpusError
-    naming the first offending line.
-    """
-    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-    rows: list[tuple] = []
-    lines: list[int] = []
-    error = None
-    try:
-        for line, row in _data_rows(source, JOURNALS_HEADER, "journals"):
-            lines.append(line)
-            # A row with malformed numbers still has its id and name checked.
-            rows.append((row[0], row[1], False, 0, 0))
-            if row[2:] != ["", ""]:
-                rows[-1] = (row[0], row[1], True, *_integers(row, line))
-    except CorpusError as exc:
-        error = exc
-    columns = list(zip(*rows)) or [()] * 5
-    types = (object, object, bool, np.int64, np.int64)
-    # A row before the first malformed one may break an invariant first.
-    journals = _journal_columns(*(np.array(c, dtype=t) for c, t in zip(columns, types)), lines)
-    if error is not None:
-        raise error
-    return journals
-
-
-def _journal_columns(row_ids, row_names, data, year, count, lines=None) -> tuple:
+def _journal_columns(text: np.ndarray, lines=None, numbers=None) -> tuple:
     """The Corpus journal fields (ids, names, article_journal, article_year,
-    article_count) of journals.csv rows.
+    article_count) of journals.csv rows, given as a table of string fields.
 
-    The rows are given as columns: id, name, whether the row carries a year
-    and an article count, the year and the count (0 where it does not).
-    Raises a CorpusError for the first row with an empty id, a name other
-    than its id's first, or an article count or year the Corpus rejects,
+    A row with empty year and articles declares a journal without article
+    data.  `numbers` is the year and articles columns, where numpy's integer
+    reader has read them already.  Raises a CorpusError for the first row
+    with an empty id, a name other than its id's first, a number outside
+    the integer grammar, or an article count or year the Corpus rejects,
     naming its line when `lines` is given.
     """
+    row_ids, row_names = text[:, 0], text[:, 1]
+    data = (text[:, 2] != "") | (text[:, 3] != "")
+    broken = np.zeros(len(text), dtype=int)
+    if numbers is None:
+        numbers, broken = _text_integers(text[:, 2:])
+        broken[~data] = 0
     ids, first, journal = np.unique(row_ids, return_index=True, return_inverse=True)
     names = row_names[first]
     hits = [_first_hit((
@@ -447,15 +415,18 @@ def _journal_columns(row_ids, row_names, data, year, count, lines=None) -> tuple
         (row_names != names[journal],
          lambda i: f"journal {row_ids[i]!r} listed with conflicting names "
                    f"{names[journal[i]]!r} and {row_names[i]!r}"),
+        (broken == 2, lambda i: f"malformed numeric field in {text[i].tolist()!r}"),
+        (broken == 1, lambda i: f"numeric field outside the int64 range in {text[i].tolist()!r}"),
     ))]
-    rows = np.flatnonzero(data)
-    article = _article_problem(ids, journal[rows], year[rows], count[rows])
+    rows = np.flatnonzero(data & (broken == 0))
+    year, count = numbers[rows, 0], numbers[rows, 1]
+    article = _article_problem(ids, journal[rows], year, count)
     if article is not None:
         hits.append((int(rows[article[0]]), article[1]))
     problem = min(filter(None, hits), key=lambda hit: hit[0], default=None)
     if problem is not None:
         raise CorpusError(problem[1], line=None if lines is None else lines[problem[0]])
-    return tuple(ids.tolist()), tuple(names.tolist()), journal[rows], year[rows], count[rows]
+    return ids, names, journal[rows], year, count
 
 
 def _parse_journals(raw: bytes) -> tuple:
@@ -463,74 +434,76 @@ def _parse_journals(raw: bytes) -> tuple:
     with empty year and articles declares a journal with no article data.
     A UTF-8 byte order mark is ignored."""
     raw = raw.removeprefix(codecs.BOM_UTF8)
-    if raw.isascii() and b"\0" not in raw:
-        try:
-            return _loadtxt_journals(raw)
-        except (ValueError, csv.Error, CorpusError):
-            pass  # the row loop names the offending line
-    return _row_journals(raw)
-
-
-def _no_records() -> tuple[np.ndarray, ...]:
-    return tuple(np.empty(0, dtype=np.int64) for _ in COLUMNS)
+    try:
+        prepared = _prepared(raw)
+        # Variable-width strings: a fixed width would size every row by the longest name.
+        text = _loadtxt_text(prepared, JOURNALS_HEADER, "journals")
+        numbers = None
+        if ((text[:, 2] != "") | (text[:, 3] != "")).all():  # else _text_integers reads them
+            # numpy's integer reader is three times faster than _text_integers.
+            numbers = _loadtxt_table(prepared, JOURNALS_HEADER, "journals", np.int64, ndmin=2,
+                                     usecols=(2, 3))
+        ids, names, *articles = _journal_columns(text, numbers=numbers)
+    except (ValueError, csv.Error, CorpusError) as exc:
+        text, lines, error = _csv_rows(raw, JOURNALS_HEADER, "journals", exc)
+        _journal_columns(text, lines)  # a bad row before that one comes first
+        raise error from None
+    return _utf8(ids), _utf8(names), *articles
 
 
 def _loadtxt_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Citation columns read by numpy's C parser.
 
-    Raises ValueError, csv.Error or CorpusError for any file it cannot read,
-    or whose id columns would take more memory than the file; the caller then
-    parses row by row.  Only call it on ASCII input without NUL bytes, and ids
-    without NULs: fixed-width byte strings drop trailing NULs.
+    Raises ValueError, csv.Error or CorpusError for any file it cannot read.
+    `ids` hold no LF, as no id read from journals.csv does.
     """
-    # No id contains a NUL, so joining on it and splitting the encoded text
-    # encodes each id.
-    encoded = np.array("\0".join(ids).encode("utf-8").split(b"\0") if ids else [], dtype=bytes)
+    raw = _prepared(raw)
+    keys = "\n".join(ids).encode("utf-8").split(b"\n") if ids else []
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
-    width = encoded.itemsize + 1
-    # The two id columns must fit in the file's size, or one long id would
-    # multiply the memory by the record count.  A line ends in \n, \r\n or \r.
-    if 2 * width * (max(raw.count(b"\n"), raw.count(b"\r")) + 1) > len(raw):
-        raise ValueError("the fixed-width id columns would outgrow the file")
-    table = _loadtxt_table(
-        raw, CITATIONS_HEADER, "citations",
-        [("citing", f"S{width}"), ("cited", f"S{width}"),
-         ("citing_year", np.int64), ("cited_year", np.int64), ("count", np.int64)],
-    )
-    return (
-        journal_positions(encoded, table["citing"]),
-        journal_positions(encoded, table["cited"]),
-        *(np.ascontiguousarray(table[name]) for name in COLUMNS[2:]),
-    )
+    width = max(map(len, keys), default=0) + 1
+    # Fixed-width id columns must fit in the file's size, or one long id would
+    # multiply the memory by the record count.  And a quoted field may hold a
+    # line break, which only the string fields show.
+    if b'"' not in raw and 2 * width * (raw.count(b"\n") + 1) <= len(raw):
+        table = _loadtxt_table(
+            raw, CITATIONS_HEADER, "citations",
+            [("citing", f"S{width}"), ("cited", f"S{width}"),
+             *((name, np.int64) for name in COLUMNS[2:])],
+        )
+        keys = np.array(keys, dtype=f"S{width}")
+        columns = [table[name] for name in COLUMNS]
+    else:
+        text = _loadtxt_text(raw, CITATIONS_HEADER, "citations")
+        # Object arrays: numpy 2.4's searchsorted fails on variable-width strings.
+        keys = np.array([key.decode("latin-1") for key in keys], dtype=object)
+        numbers, broken = _text_integers(text[:, 2:])
+        if broken.any():
+            raise ValueError("malformed numeric field")
+        columns = [text[:, 0], text[:, 1], *numbers.T]
+    # The positions first: their temporaries are freed before the numbers are copied.
+    positions = [journal_positions(keys, c.astype(keys.dtype, copy=False)) for c in columns[:2]]
+    return (*positions, *map(np.ascontiguousarray, columns[2:]))
 
 
-def _row_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """Citation columns read row by row with the csv module.
-
-    Accepts the same grammar as `_loadtxt_columns` and raises a CorpusError
-    naming the first offending line.
-    """
-    source = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-    index = {jid: i for i, jid in enumerate(ids)}
-    rows: list[tuple[int, ...]] = []
-    lines: list[int] = []
-    error = None
-    try:
-        for line, row in _data_rows(source, CITATIONS_HEADER, "citations"):
-            if unknown := [name for name in row[:2] if name not in index]:
-                raise CorpusError(f"unknown journal id {unknown[0]!r}", line=line)
-            rows.append((index[row[0]], index[row[1]], *_integers(row, line)))
-            lines.append(line)
-    except CorpusError as exc:
-        error = exc
-    columns = tuple(np.array(c, dtype=np.int64) for c in zip(*rows)) or _no_records()
-    # A record before the first malformed row may break an invariant first.
-    problem = _first_problem(len(ids), *columns)
+def _check_citations(ids: tuple[str, ...], text: np.ndarray, lines: list[int]) -> None:
+    """Raise a CorpusError naming the line of the first citations row, given
+    as a table of string fields, that names an unknown journal, holds a
+    number outside the integer grammar, or breaks a Corpus invariant."""
+    keys, names = np.array(ids, dtype=object), text[:, :2].astype(object)
+    known = np.isin(names, keys)
+    numbers, broken = _text_integers(text[:, 2:])
+    bad = _first_hit((
+        (~known[:, 0], lambda i: f"unknown journal id {text[i, 0]!r}"),
+        (~known[:, 1], lambda i: f"unknown journal id {text[i, 1]!r}"),
+        (broken == 2, lambda i: f"malformed numeric field in {text[i].tolist()!r}"),
+        (broken == 1, lambda i: f"numeric field outside the int64 range in {text[i].tolist()!r}"),
+    ))
+    end = len(text) if bad is None else bad[0]
+    # A record before the first bad row may break an invariant first.
+    citing, cited = (journal_positions(keys, names[:end, k]) for k in (0, 1))
+    problem = _first_problem(len(ids), citing, cited, *numbers[:end].T) or bad
     if problem is not None:
         raise CorpusError(problem[1], line=lines[problem[0]])
-    if error is not None:
-        raise error
-    return columns
 
 
 def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
@@ -540,23 +513,48 @@ def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
     `journals` is the Corpus journal fields, ids first.
     """
     raw = raw.removeprefix(codecs.BOM_UTF8)
-    ids = journals[0]
-    joined = "".join(ids)
-    if raw.isascii() and b"\0" not in raw and '"' not in joined and "\0" not in joined:
-        try:
-            return Corpus(*journals, *_loadtxt_columns(raw, ids))
-        except (ValueError, csv.Error, CorpusError):
-            pass  # the row loop names the offending line
-    return Corpus(*journals, *_row_columns(raw, ids))
+    try:
+        return Corpus(*journals, *_loadtxt_columns(raw, journals[0]))
+    except (ValueError, csv.Error, CorpusError) as exc:
+        text, lines, error = _csv_rows(raw, CITATIONS_HEADER, "citations", exc)
+        _check_citations(journals[0], text, lines)  # a bad row before that one comes first
+        raise error from None
 
 
-def parse_corpus(journals_source: IO[str], citations_source: IO[str]) -> Corpus:
-    """Parse and validate the two CSV streams into a merged Corpus.
+def _csv_rows(raw: bytes, expected: list[str], what: str, fast_error) -> tuple:
+    """Re-read a file that numpy's parser rejected with the csv module, up to
+    the first row that is not `len(expected)` fields free of NUL, CR and LF.
 
-    Errors report the offending line.
+    Returns the rows before it as a table of string fields, the line each
+    ends on, and that row's error; a bad row among the others is the
+    caller's to find.  Raises the error of a file that is not valid UTF-8
+    or lacks the header.
     """
-    journals = _parse_journals(journals_source.read().encode("utf-8"))
-    return _parse_citations(journals, citations_source.read().encode("utf-8"))
+    try:
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(raw, 0, exc.start)) + 1
+        raise CorpusError("not valid UTF-8", line=line) from None
+    reader = csv.reader(io.StringIO(source, newline=""))
+    _check_header(next(reader, None), expected, what)
+    rows, lines, error = [], [], CorpusError(f"{what} file could not be read: {fast_error}")
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(expected):
+                message = f"{what} row needs {len(expected)} fields, got {len(row)}"
+            elif _BREAKS.search("".join(row)):
+                message = f"{what} row holds a NUL, CR or LF inside a field"
+            else:
+                rows.append(row)
+                lines.append(reader.line_num)
+                continue
+            error = CorpusError(message, line=reader.line_num)
+            break
+    except csv.Error as exc:
+        error = CorpusError(str(exc), line=reader.line_num)
+    return np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected)), lines, error
 
 
 def load_corpus(journals_path, citations_path) -> Corpus:
@@ -597,7 +595,7 @@ def dump_citations(corpus: Corpus, out: IO[str]) -> None:
 
 
 def write_corpus(corpus: Corpus, journals_path, citations_path) -> None:
-    """Serialize deterministically; parse_corpus() of the output reproduces the corpus."""
+    """Serialize deterministically; load_corpus() of the output reproduces the corpus."""
     with open(journals_path, "w", newline="", encoding="utf-8") as jf:
         dump_journals(corpus, jf)
     with open(citations_path, "w", newline="", encoding="utf-8") as cf:

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from citerank.cli import main
-from citerank.compare import (
-    concentration,
-    density_ellipse,
-    pearson_log,
-    rank,
-    spearman,
-)
+from citerank.compare import compare_metrics, concentration, rank, spearman
 from citerank.corpus import write_corpus
 from citerank.eigenrank import EigenSettings, build_matrix, eigen_scores
 from citerank.metrics import MetricVector, impact_factor
@@ -171,7 +165,7 @@ def test_criterion_4_correlation_oracles(top20_eigen, top20_citations, top20_imp
                 [math.log10(v) for v in xs], [math.log10(v) for v in ys]
             )
             assert abs(spearman(x, y) - oracle_s) <= 1e-12
-            assert abs(pearson_log(x, y) - oracle_p) <= 1e-12
+            assert abs(compare_metrics(x, y).pearson_log_rho - oracle_p) <= 1e-12
             # frozen values pin both routes against silent drift
             assert abs(oracle_s - frozen_spearman) <= 1e-14
             assert abs(oracle_p - frozen_pearson) <= 1e-14
@@ -222,12 +216,12 @@ def test_criterion_5_invariance_suite():
             ids = [f"J{i}" for i in range(n)]
             x = MetricVector.from_scores("custom", dict(zip(ids, rng.lognormal(0.0, 1.0, n))))
             y = MetricVector.from_scores("custom", dict(zip(ids, rng.lognormal(0.5, 0.7, n))))
-            base = pearson_log(x, y)
+            base = compare_metrics(x, y).pearson_log_rho
             factor = float(rng.lognormal(0.0, 2.0))
             scaled_x = MetricVector.from_scores("custom", {j: factor * v for j, v in x.scores.items()})
             scaled_y = MetricVector.from_scores("custom", {j: factor * v for j, v in y.scores.items()})
-            assert abs(pearson_log(scaled_x, y) - base) <= 1e-12
-            assert abs(pearson_log(x, scaled_y) - base) <= 1e-12
+            assert abs(compare_metrics(scaled_x, y).pearson_log_rho - base) <= 1e-12
+            assert abs(compare_metrics(x, scaled_y).pearson_log_rho - base) <= 1e-12
 
             table = rank(x, tie_policy="min")
             scaled_table = rank(scaled_x, tie_policy="min")
@@ -306,7 +300,7 @@ def test_criterion_8_ellipse_closed_form_and_coverage():
         y = MetricVector.from_scores(
             "custom", {f"P{i}": 10.0 ** cy for i, (_, cy) in enumerate(coords)}
         )
-        ellipse = density_ellipse(x, y, coverage=0.95)
+        ellipse = compare_metrics(x, y, coverage=0.95).ellipse
         expected = math.sqrt(-2.0 * math.log(0.05))
         assert abs(ellipse.semi_axes[0] - expected) <= 1e-6
         assert abs(ellipse.semi_axes[1] - expected) <= 1e-6
@@ -321,7 +315,7 @@ def test_criterion_8_ellipse_closed_form_and_coverage():
         my = MetricVector.from_scores(
             "custom", {f"J{i}": float(v) for i, v in enumerate(10.0 ** ly)}
         )
-        fitted = density_ellipse(mx, my, coverage=0.95)
+        fitted = compare_metrics(mx, my, coverage=0.95).ellipse
         cos = math.cos(fitted.orientation_radians)
         sin = math.sin(fitted.orientation_radians)
         dx, dy = lx - fitted.center[0], ly - fitted.center[1]

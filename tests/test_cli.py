@@ -212,6 +212,31 @@ def test_rank_impact_factor_rejects_flags_it_would_ignore(tmp_path, toy_paths, f
 
 
 @pytest.mark.parametrize("command", [
+    ["rank", "--method", "eigenfactor", "--census-year", "99999999999999999999"],
+    ["rank", "--method", "citations", "--census-year", str(-(2**62) - 1)],
+    ["report", "--census-year", "2006", "--window-span", str(2**62 + 1)],
+    ["report", "--census-year", "2006", "--window-span", "0"],
+])
+def test_census_year_and_window_span_out_of_range_are_usage_errors(
+    tmp_path, toy_paths, command, capsys
+):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_cli(command[0], *corpus_args(toy_paths), *command[1:], "--out", out) == 2
+    assert "must be" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_window_span_past_the_corpus_years_scores_as_a_short_one(tmp_path, toy_paths):
+    scores = []
+    for span in ("100", "1000000000000"):
+        assert run_cli("rank", *corpus_args(toy_paths), "--method", "eigenfactor", "--census-year",
+                       "2006", "--window-span", span, "--out", tmp_path / span) == 0
+        scores.append(json.loads((tmp_path / span / "eigenfactor.metric.json").read_text())["scores"])
+    assert scores[0] == scores[1]
+
+
+@pytest.mark.parametrize("command", [
     ["report", "--census-year", "2006", "--precision", "-1"],
     ["report", "--census-year", "2006", "--precision", "0"],
     ["report", "--census-year", "2006", "--ks", "0"],
@@ -325,6 +350,7 @@ def test_compare_needs_two_or_three_files(tmp_path, data_dir, capsys):
     ('{"metric_name": "custom", "scores": {"a": 1e999}}', "must be finite"),
     ('{"metric_name": "custom", "scores": {"a": 1' + "0" * 400 + "}}", "too large"),
     ('{"metric_name": "h_index", "scores": {"a": 1}}', "metric_name must be one of"),
+    ("[" * 100_000, "nested too deeply"),
 ])
 def test_compare_rejects_malformed_metric_file(tmp_path, payload, fragment, capsys):
     bad = tmp_path / "bad.json"

@@ -20,9 +20,6 @@ from citerank.compare import (
     _descending_ranks,
     compare_metrics,
     concentration,
-    density_ellipse,
-    pearson_log,
-    positive_log_pairs,
     rank,
     rank_gaps,
     spearman,
@@ -35,6 +32,10 @@ from conftest import RankRow, rank_rows
 
 def vec(scores, name="custom"):
     return MetricVector.from_scores(name, dict(scores), "test stub")
+
+
+def pearson_log(x, y):
+    return compare_metrics(x, y).pearson_log_rho
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def test_spearman_symmetry_exact():
 
 
 # ---------------------------------------------------------------------------
-# pearson_log
+# log-Pearson correlation
 
 
 def test_pearson_log_power_law_is_exactly_one():
@@ -303,17 +304,16 @@ def test_pearson_log_symmetry_exact():
 def test_pearson_log_drops_non_positive_pairs():
     x = vec({"a": 1.0, "b": 2.0, "c": 3.0, "d": 0.0, "e": 5.0})
     y = vec({"a": 1.0, "b": 4.0, "c": 9.0, "d": 2.0, "e": 0.0})
-    ids, lx, ly, omitted = positive_log_pairs(x, y)
-    assert ids == ["a", "b", "c"]
-    assert omitted == ["d", "e"]
+    report = compare_metrics(x, y)
+    assert report.scatter[0] == ["a", "b", "c"]
+    assert report.omitted == ("d", "e")
     assert pearson_log(x, y) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pearson_log_omission_merges_missing_ids():
-    x = vec({"a": 1.0, "b": 2.0, "c": 3.0, "only_x": 4.0})
-    y = vec({"a": 1.0, "b": 4.0, "c": 0.0, "only_y": 2.0})
-    _, _, _, omitted = positive_log_pairs(x, y)
-    assert omitted == ["c", "only_x", "only_y"]
+    x = vec({"a": 1.0, "b": 2.0, "c": 3.0, "e": 5.0, "only_x": 4.0})
+    y = vec({"a": 1.0, "b": 4.0, "c": 0.0, "e": 8.0, "only_y": 2.0})
+    assert compare_metrics(x, y).omitted == ("c", "only_x", "only_y")
 
 
 def test_pearson_log_requires_three_positive_pairs():
@@ -460,7 +460,7 @@ def test_rank_gaps_bundled_eigen_first_gap(top20_eigen):
 
 
 # ---------------------------------------------------------------------------
-# density_ellipse
+# density ellipse
 
 
 SQRT_CHI2_95 = math.sqrt(-2.0 * math.log(0.05))
@@ -476,7 +476,7 @@ def identity_covariance_vectors():
 
 def test_ellipse_identity_covariance_closed_form():
     x, y = identity_covariance_vectors()
-    ellipse = density_ellipse(x, y, coverage=0.95)
+    ellipse = compare_metrics(x, y, coverage=0.95).ellipse
     assert ellipse.semi_axes[0] == pytest.approx(SQRT_CHI2_95, abs=1e-6)
     assert ellipse.semi_axes[1] == pytest.approx(SQRT_CHI2_95, abs=1e-6)
     assert ellipse.center[0] == pytest.approx(0.0, abs=1e-12)
@@ -488,7 +488,7 @@ def test_ellipse_identity_covariance_closed_form():
 def test_ellipse_collinear_data_is_degenerate():
     x = vec({"a": 10.0, "b": 100.0, "c": 1000.0, "d": 10000.0})
     y = vec({"a": 100.0, "b": 10000.0, "c": 1000000.0, "d": 100000000.0})
-    ellipse = density_ellipse(x, y)
+    ellipse = compare_metrics(x, y).ellipse
     assert ellipse.degenerate
     assert ellipse.semi_axes[1] == 0.0
     assert ellipse.orientation_radians == pytest.approx(math.atan2(2.0, 1.0), abs=1e-9)
@@ -500,7 +500,7 @@ def test_ellipse_orientation_in_half_open_range():
         ids = [f"J{i}" for i in range(30)]
         x = vec(dict(zip(ids, rng.lognormal(0.0, 1.0, 30))))
         y = vec(dict(zip(ids, rng.lognormal(0.0, 1.0, 30))))
-        angle = density_ellipse(x, y).orientation_radians
+        angle = compare_metrics(x, y).ellipse.orientation_radians
         assert -math.pi / 2 < angle <= math.pi / 2
 
 
@@ -512,7 +512,7 @@ def test_ellipse_coverage_monte_carlo_small():
     ly = 0.8 * lx + rng.normal(0.0, 0.6, n)
     x = vec({f"J{i}": float(v) for i, v in enumerate(10.0 ** lx)})
     y = vec({f"J{i}": float(v) for i, v in enumerate(10.0 ** ly)})
-    ellipse = density_ellipse(x, y, coverage=0.95)
+    ellipse = compare_metrics(x, y, coverage=0.95).ellipse
     cos = math.cos(ellipse.orientation_radians)
     sin = math.sin(ellipse.orientation_radians)
     dx, dy = lx - ellipse.center[0], ly - ellipse.center[1]
@@ -523,16 +523,16 @@ def test_ellipse_coverage_monte_carlo_small():
 
 
 def test_ellipse_requires_three_positive_pairs():
-    x = vec({"a": 1.0, "b": 2.0})
-    y = vec({"a": 1.0, "b": 2.0})
+    x = vec({"a": 1.0, "b": 2.0, "c": 0.0})
+    y = vec({"a": 1.0, "b": 2.0, "c": 3.0})
     with pytest.raises(ComparisonError, match="positive common pairs"):
-        density_ellipse(x, y)
+        compare_metrics(x, y)
 
 
 def test_ellipse_coverage_validation():
     x, y = identity_covariance_vectors()
     with pytest.raises(ComparisonError, match="coverage"):
-        density_ellipse(x, y, coverage=1.0)
+        compare_metrics(x, y, coverage=1.0)
     with pytest.raises(ComparisonError, match="coverage"):
         EllipseParams((0.0, 0.0), (1.0, 1.0), 0.0, coverage=0.0)
 

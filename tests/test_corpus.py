@@ -1,28 +1,22 @@
 """Corpus model, CSV parsing and serialization round-trips."""
 
-import codecs
 import csv
 import io
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import csv_reference
 from citerank.corpus import (
     CitationWindow,
     Corpus,
-    _first_problem,
-    _loadtxt_columns,
-    _loadtxt_journals,
-    _no_records,
+    _parse_citations,
     _parse_journals,
-    _row_columns,
-    _row_journals,
     dump_citations,
     dump_journals,
-    parse_corpus,
 )
 from citerank.errors import CorpusError
 from citerank.syngen import GenSettings, generate
@@ -31,7 +25,8 @@ from conftest import JournalRow, build_corpus, citation_dict, citation_rows, cor
 
 
 def parse_strings(journals_text, citations_text):
-    return parse_corpus(io.StringIO(journals_text), io.StringIO(citations_text))
+    journals = _parse_journals(journals_text.encode("utf-8"))
+    return _parse_citations(journals, citations_text.encode("utf-8"))
 
 
 def serialize(corpus):
@@ -144,7 +139,7 @@ CITATIONS_HEADER = "citing,cited,citing_year,cited_year,count\n"
     ],
 )
 def test_parse_citation_grammar(citations_text, expected):
-    # Only the ids a case uses are declared, so ASCII cases take the loadtxt path.
+    # The ids a case uses beyond a, b and c are declared in journals.csv.
     extra = sorted({jid for key in expected for jid in key[:2]} - {"a", "b", "c"})
     declared = io.StringIO()
     csv.writer(declared, lineterminator="\n").writerows((jid, "Extra", 2006, 1) for jid in extra)
@@ -161,87 +156,93 @@ def test_parse_journal_grammar(year, articles):
     assert journal_dict(corpus)["a"].articles_by_year == {2005: 10}
 
 
-FIELD_TEXTS = st.sampled_from([
-    "a", "b", "zz", "", " a", '"a"', '"a"x', 'a"', '"a,b"', "1", "2005", "2006", " 7 ",
-    "+3", "-1", "0", "007", "1_0", "1.0", "0x1", "\t2\x0c", '"5"', "5\n", "9" * 19, "\x1c5",
-])
-ROW_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", ",\n", "\n\n", " \n"])
-
-
-@given(st.sampled_from(["\n", "\r\n", "\r"]),
-       st.lists(st.tuples(st.lists(FIELD_TEXTS, min_size=4, max_size=6), ROW_ENDINGS),
-                max_size=4),
-       st.text(alphabet='ab,"\r\n 12', max_size=30))
-@settings(max_examples=300, deadline=None)
-def test_loadtxt_and_row_loop_agree(header_ending, rows, tail):
-    """Whatever numpy's parser reads, the csv row loop reads identically."""
-    text = "citing,cited,citing_year,cited_year,count" + header_ending + "".join(
-        ",".join(fields) + ending for fields, ending in rows
-    ) + tail
-    raw, ids = text.encode("ascii"), ["a", "a,b", "b"]
+def outcome(parse):
+    """What a parse returns, with arrays as lists, or its error's line and message."""
     try:
-        fast = _loadtxt_columns(raw, ids)
-    except (ValueError, csv.Error, CorpusError):
-        return  # rejected files always go to the row loop
-    if _first_problem(len(ids), *fast) is not None:
-        with pytest.raises(CorpusError):
-            _row_columns(raw, ids)
-    else:
-        assert [c.tolist() for c in _row_columns(raw, ids)] == [c.tolist() for c in fast]
-
-
-JOURNAL_IDS = st.sampled_from(["a", "b", '"a,b"', '"a"', " a", ""])
-# Each id's usual name, so that most files name each journal consistently.
-USUAL_NAMES = {"a": '"Gamma, Applied"', "b": '"Q ""x"""', '"a,b"': "Alpha", '"a"': '"Gamma, Applied"'}
-JOURNAL_NAMES = st.sampled_from(5 * [None] + ["Alpha", '"Gamma, Applied"', "", '"5"'])
-# Valid numbers five times over, so that most rows parse.
-JOURNAL_NUMBERS = st.sampled_from(5 * ["2004", "2005", "2006", " 7 ", "+3", "0", "007"] + [
-    "-1", "", "1_0", "1.0", '"5"', '"5\n"', "\x1c5", "9" * 19,
-])
-NUMBER_PAIRS = st.tuples(JOURNAL_NUMBERS, JOURNAL_NUMBERS)
-# One row in four declares a journal without article data.
-JOURNAL_ROWS = st.tuples(
-    JOURNAL_IDS, JOURNAL_NAMES, st.one_of(NUMBER_PAIRS, NUMBER_PAIRS, NUMBER_PAIRS, st.just(("", "")))
-).map(lambda row: [row[0], USUAL_NAMES.get(row[0], "Beta") if row[1] is None else row[1], *row[2]])
-
-
-@given(st.sampled_from(["\n", "\r\n", "\r"]),
-       # Mostly distinct (id, year) rows, so that most files have no duplicate year.
-       st.lists(st.tuples(JOURNAL_ROWS, st.sampled_from(2 * ["\n", "\r\n", "\r", "\n\n"] + [",\n"])),
-                max_size=6, unique_by=lambda row: (row[0][0], row[0][2])),
-       st.sampled_from(["", "\n", "\r\n", "\r", " "]))
-@settings(max_examples=500, deadline=None)
-def test_journals_loadtxt_and_row_loop_agree(header_ending, rows, tail):
-    """Whatever numpy's parser reads from journals.csv, the csv row loop reads
-    identically, and a byte order mark changes neither.  Rows without year and
-    articles stay on numpy's parser."""
-    text = "id,name,year,articles" + header_ending + "".join(
-        ",".join(fields) + ending for fields, ending in rows
-    ) + tail
-    raw = text.encode("ascii")
-    try:
-        fast = _loadtxt_journals(raw)
-    except (ValueError, csv.Error, CorpusError):
-        fast = None  # rejected files always go to the row loop
-    try:
-        slow = _row_journals(raw)
+        result = parse()
     except CorpusError as exc:
-        assert fast is None
-        with pytest.raises(CorpusError) as with_bom:
-            _parse_journals(codecs.BOM_UTF8 + raw)
-        assert str(with_bom.value) == str(exc)
-        return
-    # Without a bare CR, whatever file the row loop reads loadtxt reads too.
-    if "\r" not in text.replace("\r\n", ""):
-        assert fast is not None
-    if fast is not None:
-        assert [list(c) for c in fast] == [list(c) for c in slow]
-    assert [list(c) for c in _parse_journals(codecs.BOM_UTF8 + raw)] == [list(c) for c in slow]
+        return "error", exc.line, str(exc)
+    return [c if isinstance(c, (tuple, Corpus)) else np.asarray(c).tolist() for c in result]
+
+
+def csv_file(header, fields):
+    """A UTF-8 file of the header and rows of `fields`, each row one field
+    short, as drawn, or with one or two extra fields."""
+    row = st.tuples(fields, st.sampled_from(20 * [0] + [-1, 1, 2])).map(
+        lambda drawn: drawn[0][:len(drawn[0]) + min(drawn[1], 0)] + ("7",) * max(drawn[1], 0)
+    )
+    ending = st.sampled_from(6 * ["\n", "\r\n", "\r"] + ["\n\n", "\r\n\r\n", "\n\r", " \n"])
+    return st.builds(
+        lambda bom, first, rows, tail: (
+            bom + header + first + "".join(",".join(r) + end for r, end in rows) + tail
+        ).encode("utf-8"),
+        st.sampled_from(["", "\ufeff"]), ending,
+        st.lists(st.tuples(row, ending), min_size=1, max_size=6),
+        st.sampled_from(4 * [""] + ["\n", "\r", " ", '"']),
+    )
+
+
+# Field texts as written in the file.  Valid texts come five times over, so
+# that most rows parse.
+ID_TEXTS = st.sampled_from(5 * ["a", "b", "é", '"a,b"', '"q""x"', "日本"] + [
+    "", " a", "zz", '"a"x', 'a"', '"x\ry"', '"x\ny"', "a\0", "ü" * 300,
+])
+NAME_TEXTS = st.sampled_from(5 * [None] + ["Alpha", '"Gamma, Applied"', "", '"Q ""x"""', "Ünï"])
+NUMBER_TEXTS = st.sampled_from([
+    "0", "-1", "", "1_0", "1.0", '"5"', '"5\n"', '"5\r"', "\x1c5\x1f", "\t2\x0c", "\v4", "+-1",
+    "9" * 19, "9223372036854775807", "-9223372036854775808", " 5", "5\u0085", "٥",
+    "²", "2 5",
+])
+NUMBER_TRIPLES = st.tuples(NUMBER_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS)
+CITATION_FIELDS = st.tuples(ID_TEXTS, ID_TEXTS, st.one_of(
+    *3 * [st.sampled_from([("2006", "2005", "1"), (" 2006", "2006 ", "+3"),
+                           ("2005", "2004", "007")])],
+    NUMBER_TRIPLES,
+)).map(lambda fields: fields[:2] + fields[2])
+# Each id's usual name, so that most files name each journal consistently.
+USUAL_NAMES = {'"a,b"': "Alpha", "é": '"É ""x"""', "日本": "名"}
+JOURNAL_FIELDS = st.tuples(ID_TEXTS, NAME_TEXTS, st.one_of(
+    *3 * [st.tuples(st.sampled_from(["2004", "2005", " 2006 ", "+2003"]),
+                    st.sampled_from(["0", "7", "007", "\x1c5"]))],
+    st.just(("", "")),
+    st.tuples(NUMBER_TEXTS, NUMBER_TEXTS),
+)).map(lambda fields: (fields[0], USUAL_NAMES.get(fields[0], "Beta") if fields[1] is None
+                       else fields[1], *fields[2]))
+# Journals for the citations files: the ids ID_TEXTS spells, with and
+# without one so long that the id columns are read as variable-width strings.
+SHORT_IDS = ("a", "a,b", "b", 'q"x', "é", "日本")
+LONG_IDS = tuple(sorted(SHORT_IDS + ("ü" * 300,)))
+JOURNAL_SETS = [(ids, ids, [], [], []) for ids in (SHORT_IDS, LONG_IDS)]
+
+
+@given(csv_file("id,name,year,articles", JOURNAL_FIELDS),
+       csv_file("citing,cited,citing_year,cited_year,count", CITATION_FIELDS),
+       st.sampled_from(JOURNAL_SETS))
+@example(  # a name that conflicts is reported before the same row's malformed number
+    b"id,name,year,articles\na,Alpha,2006,1\na,Alias,x,1\n", b"", JOURNAL_SETS[0])
+@example(  # a sixth field is an error on both id column paths
+    b"id,name,year,articles\na,Alpha,2006,1,9\n",
+    b"citing,cited,citing_year,cited_year,count\na,b,2006,2005,1,9\n", JOURNAL_SETS[0])
+@example(  # a quoted CR is not taken for the LF that bare CR endings become
+    b'id,name,year,articles\r"x\ry",Alpha,2006,1\r',
+    b'citing,cited,citing_year,cited_year,count\r"x\ry",b,2006,2005,1\ra,b,2006,2005,1\r',
+    JOURNAL_SETS[1])
+@settings(max_examples=500, deadline=None)
+def test_parser_matches_the_csv_reference(journals_raw, citations_raw, journals):
+    """numpy's parser reads every valid file as the csv-module reference in
+    tests/csv_reference.py does, and every invalid one ends in the same
+    line-numbered error."""
+    assert outcome(lambda: _parse_journals(journals_raw)) == outcome(
+        lambda: csv_reference.journals(journals_raw))
+    records = outcome(lambda: [csv_reference.citations(journals[0], citations_raw)])
+    if records[0] != "error":
+        records = [Corpus(*journals, *(list(zip(*records[0])) or [[]] * 5))]
+    assert outcome(lambda: [_parse_citations(journals, citations_raw)]) == records
 
 
 def test_a_long_journal_id_does_not_multiply_the_parse_memory():
     """Fixed-width id columns sized by a 5,000-byte id would take 625 times the
-    citations file; such a file is read row by row instead."""
+    citations file; such a file's ids are read as variable-width strings."""
     journals = f"id,name,year,articles\na,A,2006,1\nb,B,2006,1\n{'x' * 5000},Long,2006,1\n"
     citations = "citing,cited,citing_year,cited_year,count\n" + 2_000 * (
         "a,b,2006,2005,1\nb,a,2006,2004,2\n"
@@ -277,6 +278,12 @@ def test_a_long_journal_id_does_not_multiply_the_parse_memory():
         ("id,name,year,articles\na,Alpha,9223372036854775808,1\n", 2, "int64 range"),
         ("id,name,year,articles\na,Alpha,2006,-1\n", 2, "negative article count"),
         ("id,name,year,articles\na,Alpha,2006,9007199254740993\n", 2, "above 2**53"),
+        # a row with a malformed number still has its name checked
+        ("id,name,year,articles\na,Alpha,2006,1\na,Alias,x,2\n", 3, "conflicting names"),
+        ("id,name,year,articles\na,Alpha,2006,1,7\n", 2, "4 fields, got 5"),
+        ('id,name,year,articles\n"a\nb",Alpha,2006,1\n', 3, "NUL, CR or LF"),
+        ("id,name,year,articles\na,Alpha,\u00a02006,1\n", 2, "malformed"),
+        ("id,name,year,articles\na,Alpha,2006,1\u0085\n", 2, "malformed"),
     ],
 )
 def test_parse_journal_errors(journals_text, line, fragment):
@@ -294,7 +301,15 @@ def test_parse_journal_errors(journals_text, line, fragment):
         ("citing,cited,citing_year,cited_year,count\nzz,b,2006,2005,1\n", 2, "unknown journal id"),
         ("citing,cited,citing_year,cited_year,count\na,zz,2006,2005,1\n", 2, "unknown journal id"),
         ("citing,cited,citing_year,cited_year,count\naa,b,2006,2005,1\n", 2, "unknown journal id 'aa'"),
-        ("citing,cited,citing_year,cited_year,count\na\x00,b,2006,2005,1\n", 2, "unknown journal id"),
+        # NUL, CR and LF are never part of a field
+        ("citing,cited,citing_year,cited_year,count\na\x00,b,2006,2005,1\n", 2, "NUL, CR or LF"),
+        # a row that spans lines is reported at the line it ends on
+        ('citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n"x\ry",b,2006,2005,1\n',
+         4, "NUL, CR or LF"),
+        ('citing,cited,citing_year,cited_year,count\na,b,2006,"2005\n",1\n', 3, "NUL, CR or LF"),
+        # the blanks around a number are ASCII, or \x1c to \x1f
+        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u00a05\n", 2, "malformed"),
+        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005\u0085,1\n", 2, "malformed"),
         ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,0\n", 2, "count must be >= 1"),
         ("citing,cited,citing_year,cited_year,count\na,b,2005,2006,1\n", 2, "after citing_year"),
         ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,many\n", 2, "malformed"),
@@ -335,6 +350,12 @@ def test_parse_citation_errors(citations_text, line, fragment):
         parse_strings(JOURNALS_3, citations_text)
     assert exc.value.line == line
     assert fragment in str(exc.value)
+
+
+def test_invalid_utf8_is_an_error_naming_its_line():
+    journals = _parse_journals(JOURNALS_3.encode("utf-8"))
+    with pytest.raises(CorpusError, match="^line 3: not valid UTF-8"):
+        _parse_citations(journals, b"citing,cited,citing_year,cited_year,count\r\n\r\n\xff,b\n")
 
 
 def test_parse_error_message_prefixes_line_number():
@@ -386,7 +407,7 @@ def test_corpus_rejects_columns_that_are_not_int64(column):
     with pytest.raises(CorpusError, match="integers"):
         Corpus(*journal, *no_articles, positions, positions, counts + 2005, counts, column)
     with pytest.raises(CorpusError, match="integers"):
-        Corpus(*journal, positions, counts + 2005, column, *_no_records())
+        Corpus(*journal, positions, counts + 2005, column, *[[]] * 5)
 
 
 def test_corpus_rejects_citation_to_unknown_journal():
@@ -438,14 +459,17 @@ def test_window_all_years_includes_everything():
     assert window.mask(None, None) is None
 
 
-def test_window_cited_mode_bounds():
+def test_window_cited_mode_bounds(toy_corpus):
     window = CitationWindow.cited(2006, span=2)
     assert includes(window, 2006, 2005)
     assert includes(window, 2006, 2004)
     assert not includes(window, 2006, 2006)  # same-year citations never qualify
     assert not includes(window, 2006, 2003)
     assert not includes(window, 2005, 2004)  # wrong census year
-    assert window.publication_years(corpus_from([], [])) == (2004, 2005)
+    # the corpus's article years inside the window, however long the span
+    assert window.publication_years(corpus_from([], [])) == ()
+    assert window.publication_years(toy_corpus) == (2004, 2005)
+    assert CitationWindow.cited(2006, span=10**12).publication_years(toy_corpus) == (2004, 2005)
 
 
 def test_window_all_years_publication_years(toy_corpus):
