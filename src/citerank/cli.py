@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from . import __version__
 from .compare import ComparisonReport, RankTable, compare_metrics, rank
@@ -23,9 +23,6 @@ from .eigenrank import EigenSettings, build_matrix, eigen_scores
 from .errors import CiteRankError, MetricError
 from .metrics import MetricVector, impact_factor, total_citations
 from .syngen import GenSettings, generate
-
-METHODS = ("eigenfactor", "citations", "impact-factor")
-
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -125,44 +122,55 @@ def write_scatter(report: ComparisonReport, path: Path) -> None:
 # shared computation
 
 
-def _self_policy(args, default_include: bool) -> bool:
-    """Resolve --include-self/--exclude-self to an include_self boolean."""
-    if args.include_self is None:
-        return default_include
-    return args.include_self
+class MetricFlags(NamedTuple):
+    """A metric's defaults and the tuning flags (argparse dests) it reads."""
+
+    include_self: bool
+    span: int | None  # cited years before --census-year; None counts every record
+    reads: tuple[str, ...]
 
 
-def _citation_window(args) -> CitationWindow:
-    if args.census_year is None:
-        return CitationWindow.all_years()
-    span = args.window_span if args.window_span is not None else 5
-    return CitationWindow.cited(args.census_year, span)
+TUNING_FLAGS = ("window_span", "include_self", "alpha", "tol", "max_iter")
+# Eigenfactor.org's Eigenfactor counts census-year citations to the five prior
+# years without self-citations; ISI's total cites count every record.
+METRIC_FLAGS = {
+    "eigenfactor": MetricFlags(False, 5, TUNING_FLAGS),
+    "citations": MetricFlags(True, None, ("window_span", "include_self")),
+    "impact-factor": MetricFlags(True, 2, ()),
+}
+METHODS = tuple(METRIC_FLAGS)
 
 
-def _eigen_settings(args) -> EigenSettings:
-    return EigenSettings(
-        alpha=args.alpha,
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        exclude_self=not _self_policy(args, False),
-    )
+def resolve(method: str, args) -> tuple[CitationWindow, bool, EigenSettings]:
+    """The window, include_self policy and iteration settings the flags give `method`."""
+    flags = METRIC_FLAGS[method]
+
+    def read(dest, default):
+        value = getattr(args, dest) if dest in flags.reads else None
+        return default if value is None else value
+
+    span = read("window_span", flags.span)
+    if span is None or args.census_year is None:
+        window = CitationWindow.all_years()
+    else:
+        window = CitationWindow.cited(args.census_year, span)
+    settings = EigenSettings(read("alpha", EigenSettings.alpha),
+                             read("tol", EigenSettings.tolerance),
+                             read("max_iter", EigenSettings.max_iterations))
+    return window, read("include_self", flags.include_self), settings
 
 
 def compute_metric(corpus: Corpus, method: str, args) -> MetricVector:
-    if method == "citations":
-        return total_citations(
-            corpus, _citation_window(args), include_self=_self_policy(args, True)
-        )
-    if method == "impact-factor":
-        if args.census_year is None:
-            raise CiteRankError("--census-year is required for the impact-factor method")
-        return impact_factor(corpus, args.census_year)
+    """The one place a metric is scored."""
+    window, include_self, settings = resolve(method, args)
     if method == "eigenfactor":
-        settings = _eigen_settings(args)
-        window = _citation_window(args)
-        matrix, articles = build_matrix(corpus, window, exclude_self=settings.exclude_self)
+        matrix, articles = build_matrix(corpus, window, exclude_self=not include_self)
         return eigen_scores(matrix, articles, settings)
-    raise CiteRankError(f"unknown method {method!r}")
+    if method == "citations":
+        return total_citations(corpus, window, include_self=include_self)
+    if args.census_year is None:
+        raise CiteRankError("--census-year is required for the impact-factor method")
+    return impact_factor(corpus, args.census_year)
 
 
 def _unscored(corpus: Corpus, vector: MetricVector) -> list[str]:
@@ -290,41 +298,25 @@ def cmd_gen(args) -> int:
 def cmd_report(args) -> int:
     corpus = _load_corpus_args(args)
     out = _out_dir(args)
-
-    eigen_settings = _eigen_settings(args)
-    if args.window_span is None:
-        eigen_window = CitationWindow.all_years()
-    else:
-        eigen_window = CitationWindow.cited(args.census_year, args.window_span)
-    matrix, articles = build_matrix(corpus, eigen_window, eigen_settings.exclude_self)
-    eigen = eigen_scores(matrix, articles, eigen_settings)
-    citations = total_citations(corpus, CitationWindow.all_years(), include_self=True)
-    impact = impact_factor(corpus, args.census_year)
-
-    vectors = [eigen, citations, impact]
+    vectors = [compute_metric(corpus, method, args) for method in METHODS]
     metric_files = {v.metric_name: {"files": write_ranked(v, args, out)[1]} for v in vectors}
     comparisons = compare_all(vectors, args.ks, args.coverage, out)
 
+    _, include_self, settings = resolve("eigenfactor", args)
     bundle = {
         "metadata": {
             "tool": "citerank",
             "version": __version__,
-            "settings": {
-                "alpha": eigen_settings.alpha,
-                "tolerance": eigen_settings.tolerance,
-                "max_iterations": eigen_settings.max_iterations,
-                "exclude_self": eigen_settings.exclude_self,
+            "settings": asdict(settings) | {
+                "exclude_self": not include_self,
                 "census_year": args.census_year,
                 "tie_policy": args.tie_policy,
                 "ks": args.ks,
                 "coverage": args.coverage,
             },
-            "windows": {
-                "eigenfactor": eigen_window.describe(),
-                "total_citations": "all-years",
-                "impact_factor": f"census_year={args.census_year} span=2",
-            },
-            "omissions": {"impact_factor_zero_denominator": _unscored(corpus, impact)},
+            "windows": {v.metric_name: resolve(method, args)[0].describe()
+                        for method, v in zip(METHODS, vectors)},
+            "omissions": {"impact_factor_zero_denominator": _unscored(corpus, vectors[2])},
         },
         "metrics": metric_files,
         "comparisons": comparisons,
@@ -380,19 +372,22 @@ def _add_corpus_flags(sub) -> None:
 
 
 def _add_rank_flags(sub, census_required: bool = False) -> None:
-    sub.add_argument("--window-span", type=_integer(1, _YEAR_BOUND), default=None,
-                     help="publication-year span of the citation window (default: all years)")
+    sub.add_argument("--window-span", type=_integer(1, _YEAR_BOUND), help=(
+        "publication years before --census-year whose citations count (default: "
+        f"{METRIC_FLAGS['eigenfactor'].span} for eigenfactor, every record for citations)"))
     sub.add_argument("--census-year", type=_integer(-_YEAR_BOUND, _YEAR_BOUND), default=None,
                      required=census_required, help="year whose citations are counted")
-    sub.add_argument("--alpha", type=float, default=0.85, help="damping factor (default 0.85)")
-    sub.add_argument("--tol", type=float, default=1e-12, help="L1 residual tolerance (default 1e-12)")
-    sub.add_argument("--max-iter", type=int, default=1000, help="iteration cap (default 1000)")
+    sub.add_argument("--alpha", type=float,
+                     help=f"eigenfactor damping factor (default {EigenSettings.alpha})")
+    sub.add_argument("--tol", type=float,
+                     help=f"eigenfactor L1 residual tolerance (default {EigenSettings.tolerance})")
+    sub.add_argument("--max-iter", type=int,
+                     help=f"eigenfactor iteration cap (default {EigenSettings.max_iterations})")
     grp = sub.add_mutually_exclusive_group()
     grp.add_argument("--include-self", dest="include_self", action="store_const", const=True,
-                     default=None, help="count self-citations")
+                     help="count self-citations (default for citations)")
     grp.add_argument("--exclude-self", dest="include_self", action="store_const", const=False,
-                     help="drop self-citations")
-    sub.add_argument("--top", type=int, default=20, help="rows to print (default 20)")
+                     help="drop self-citations (default for eigenfactor)")
     sub.add_argument("--tie-policy", choices=("average", "min"), default="min")
     sub.add_argument("--precision", type=_at_least_one, default=6,
                      help="significant digits in printed tables (default 6)")
@@ -422,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(rank_cmd)
     rank_cmd.add_argument("--method", choices=METHODS, required=True)
     _add_rank_flags(rank_cmd)
+    rank_cmd.add_argument("--top", type=int, default=20, help="rows to print (default 20)")
     rank_cmd.add_argument("--out", required=True, help="output directory")
     rank_cmd.set_defaults(func=cmd_rank)
 
@@ -455,26 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option(dest: str, args) -> str:
+    """The flag that set `dest`."""
+    if dest == "include_self":
+        return "--include-self" if args.include_self else "--exclude-self"
+    return "--" + dest.replace("_", "-")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "window_span", None) is not None and args.census_year is None:
             parser.error("--window-span needs --census-year")
-        if getattr(args, "method", None) == "impact-factor" and (
-            args.window_span is not None or args.include_self is not None
-        ):
-            parser.error("--window-span, --include-self and --exclude-self do not apply "
-                         "to --method impact-factor")
+        method = getattr(args, "method", None)  # report reads every flag
+        ignored = [_option(dest, args) for dest in TUNING_FLAGS if method
+                   and dest not in METRIC_FLAGS[method].reads and getattr(args, dest) is not None]
+        if ignored:
+            parser.error(f"{', '.join(ignored)}: options that do not apply to --method {method}")
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except CiteRankError as exc:
-        print(f"citerank: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CiteRankError, ValueError, OSError) as exc:
         print(f"citerank: error: {exc}", file=sys.stderr)
         return 1
 

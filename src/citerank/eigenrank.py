@@ -36,12 +36,11 @@ from .metrics import MetricVector
 
 @dataclass(frozen=True)
 class EigenSettings:
-    """Damping, convergence, and self-citation policy for the iteration."""
+    """Damping and convergence settings for the iteration."""
 
     alpha: float = 0.85
     tolerance: float = 1e-12
     max_iterations: int = 1000
-    exclude_self: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

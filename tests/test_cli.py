@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from citerank import compare
 from citerank.cli import _json_text, load_metric_file, main, write_metric_file
 from citerank.compare import concentration
-from citerank.corpus import load_corpus
+from citerank.corpus import CitationWindow, load_corpus
+from citerank.eigenrank import build_matrix
 from citerank.metrics import MetricVector
+from dense_oracle import dense_oracle_scores
 
 
 def run_cli(*argv):
@@ -200,14 +202,24 @@ def test_rank_window_span_needs_census_year(tmp_path, toy_paths, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flag", [["--window-span", "2"], ["--include-self"], ["--exclude-self"]])
-def test_rank_impact_factor_rejects_flags_it_would_ignore(tmp_path, toy_paths, flag, capsys):
+EIGEN_ONLY_FLAGS = [["--alpha", "0.5"], ["--tol", "1e-6"], ["--max-iter", "50"]]
+
+
+@pytest.mark.parametrize("method, flag", [
+    *(("impact-factor", flag) for flag in [
+        ["--window-span", "2"], ["--include-self"], ["--exclude-self"], *EIGEN_ONLY_FLAGS,
+    ]),
+    *(("citations", flag) for flag in EIGEN_ONLY_FLAGS),
+])
+def test_rank_impact_factor_rejects_flags_it_would_ignore(
+    tmp_path, toy_paths, method, flag, capsys
+):
     out = tmp_path / "o"
     out.mkdir()
-    code = run_cli("rank", *corpus_args(toy_paths), "--method", "impact-factor",
+    code = run_cli("rank", *corpus_args(toy_paths), "--method", method,
                    "--census-year", "2006", *flag, "--out", out)
     assert code == 2
-    assert "do not apply to --method impact-factor" in capsys.readouterr().err
+    assert f"{flag[0]}: options that do not apply to --method {method}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -236,18 +248,22 @@ def test_a_window_span_past_the_corpus_years_scores_as_a_short_one(tmp_path, toy
     assert scores[0] == scores[1]
 
 
-@pytest.mark.parametrize("command", [
-    ["report", "--census-year", "2006", "--precision", "-1"],
-    ["report", "--census-year", "2006", "--precision", "0"],
-    ["report", "--census-year", "2006", "--ks", "0"],
-    ["report", "--census-year", "2006", "--ks", "1,-5,10"],
-    ["rank", "--method", "citations", "--precision", "0"],
+@pytest.mark.parametrize("command, fragment", [
+    (["report", "--census-year", "2006", "--precision", "-1"], "must be >= 1"),
+    (["report", "--census-year", "2006", "--precision", "0"], "must be >= 1"),
+    (["report", "--census-year", "2006", "--ks", "0"], "must be >= 1"),
+    (["report", "--census-year", "2006", "--ks", "1,-5,10"], "must be >= 1"),
+    (["rank", "--method", "citations", "--precision", "0"], "must be >= 1"),
+    # report prints no table, so it takes no --top
+    (["report", "--census-year", "2006", "--top", "5"], "unrecognized arguments: --top 5"),
 ])
-def test_precision_and_ks_below_one_are_usage_errors(tmp_path, toy_paths, command, capsys):
+def test_precision_and_ks_below_one_are_usage_errors(
+    tmp_path, toy_paths, command, fragment, capsys
+):
     out = tmp_path / "o"
     out.mkdir()
     assert run_cli(command[0], *corpus_args(toy_paths), *command[1:], "--out", out) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -498,6 +514,29 @@ def test_report_window_span_flag(tmp_path, toy_paths):
     ) == 0
     bundle = json.loads((out / "report.json").read_text())
     assert bundle["metadata"]["windows"]["eigenfactor"] == "census_year=2006 span=2"
+    assert bundle["metadata"]["windows"]["total_citations"] == "census_year=2006 span=2"
+
+
+@pytest.mark.parametrize("flags", [[], ["--window-span", "2"], ["--include-self"],
+                                   ["--exclude-self"]])
+def test_rank_and_report_write_the_same_metric_files(tmp_path, toy_paths, flags, capsys):
+    common = [*corpus_args(toy_paths), "--census-year", "2006", *flags]
+    assert run_cli("report", *common, "--out", tmp_path / "report") == 0
+    for method, name in (("eigenfactor", "eigenfactor"), ("citations", "total_citations")):
+        out = tmp_path / method
+        assert run_cli("rank", *common, "--method", method, "--out", out) == 0
+        path = f"{name}.metric.json"
+        assert (out / path).read_bytes() == (tmp_path / "report" / path).read_bytes()
+
+
+def test_report_default_eigenfactor_matches_the_dense_oracle(tmp_path, toy_paths, toy_corpus):
+    out = tmp_path / "report"
+    assert run_cli("report", *corpus_args(toy_paths), "--census-year", "2006", "--out", out) == 0
+    scores = load_metric_file(out / "eigenfactor.metric.json").scores
+    matrix, articles = build_matrix(toy_corpus, CitationWindow.cited(2006, 5), exclude_self=True)
+    oracle = dense_oracle_scores(matrix, articles).scores
+    assert set(scores) == set(oracle)
+    assert sum(abs(scores[j] - oracle[j]) for j in scores) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ compares against SHA-256 digests recorded from the dict-of-tuples corpus
 implementation (numpy 2.4, scipy 1.17), so a rewrite of the corpus layer
 must reproduce every byte that `gen` and `report` wrote before it.  The
 two `report.json` digests were recorded again when that file became an
-index of the other files; every other digest is the original.
+index of the other files.  The `report` digests that depend on eigenfactor
+(`eigenfactor.*`, `eigenfactor_vs_*.*` and `report.json`) were recorded
+again when `report` began to score eigenfactor through `rank`'s path, on the
+5-year cited window; its `eigenfactor.*` digests now equal `rank`'s.  Every
+other digest is the original.
 
 The `rank`, `ingest` and script digests were recorded before the journal
 axis became columnar (journals.csv parsed into columns, metric vectors held
@@ -31,15 +35,15 @@ GEN_DIGESTS = {
 }
 
 GEN_REPORT_DIGESTS = {
-    "eigenfactor.metric.json": "4da9bb397e7ab28f0e76118472cedc4fbdd6607c1f9217189fda8dd7dcc83cf7",
-    "eigenfactor.ranks.tsv": "f875b04498a56be952921d4f2fefc0780548da4f17830e4ac258ac70930b71f4",
-    "eigenfactor_vs_impact_factor.report.json": "d48ffb65862c71f9021fc16bbc1093e8c788de954bac531736c80c7937fcd6ae",
-    "eigenfactor_vs_impact_factor.scatter.tsv": "069b91d5784c962aaad7323b8d57aff2d43fa0bb1bef7449c89cd94a73967494",
-    "eigenfactor_vs_total_citations.report.json": "1dd7ac6347ec8eeb488ac5077fa5a322fe6b1636648a05f1d859cb0c3a7cea52",
-    "eigenfactor_vs_total_citations.scatter.tsv": "6a724c2a39755d2fc332dd7681abd3a6e71c2251aae895a1d7c072ce4e2171dc",
+    "eigenfactor.metric.json": "75f2c4f0cb1b29e588743bf47c2145d6e246bc5f22e8e810ff217ffb496125a5",
+    "eigenfactor.ranks.tsv": "79f628ebcba957b570d2fd374ac99e3f831b5ed073df30953535a2d9ace02c73",
+    "eigenfactor_vs_impact_factor.report.json": "f902672f510999aeb004bdcbf3d1af2d07fcd540cf8370d4232b7e1189095337",
+    "eigenfactor_vs_impact_factor.scatter.tsv": "ee941bbd55e65dbd8f240c929b6e44f0f1d8d2b9a372b288b40713ec41257f9f",
+    "eigenfactor_vs_total_citations.report.json": "6fa4c15129e1adb7d7a331a830807665c67119b293cb41618655a03e765bea3a",
+    "eigenfactor_vs_total_citations.scatter.tsv": "0ba7b6eeef0a43bfa6b9c75edb8e670dcd433010579c4d7666368ec29bdb312d",
     "impact_factor.metric.json": "3666b5c9aae32676bce7e49c18ac5023092cbd44564c9df237ec5828f19ed11f",
     "impact_factor.ranks.tsv": "e73b13bbb010b06977a6c41bae591da7782f2a05b0335b196ca07b3f523419d4",
-    "report.json": "1b6594e76459baa691f321dee8a6451bff337c2ae8ceb0de1f43dffa94203325",
+    "report.json": "6f3729b4f89ddb00fabb497f6e0af4886db24855de4bbe087b624a4fe3d7c543",
     "total_citations.metric.json": "df08cb16f8a959b14e3c880e28cb51742ef456136ff673b0a6397fc3e7cab6c4",
     "total_citations.ranks.tsv": "7a86597c68bfb92e2b800c68442336e44cb7be39df58092c4e5644188123da54",
     "total_citations_vs_impact_factor.report.json": "43c74edd4a068a689fbc9a801bddda5d1988a5059a3bba2a581b0df011903274",
@@ -47,15 +51,15 @@ GEN_REPORT_DIGESTS = {
 }
 
 TOY_REPORT_DIGESTS = {
-    "eigenfactor.metric.json": "e2b877d52e3a2dab6ebd169047298c0faaef0a287fc31f68dfa216862073681c",
-    "eigenfactor.ranks.tsv": "3a6bc5d60a5fe0fbd9ff9e5ecea256e0c07cb53113f15f291a6122edbb49c9c5",
-    "eigenfactor_vs_impact_factor.report.json": "d1cc740ae4e30d22b4906cf21379947a5316c4fcafd9343c6da9f2e07e617dcd",
-    "eigenfactor_vs_impact_factor.scatter.tsv": "8fcf33152ad44b8a9a6683988e7c69c82c379f2137cfb1069ae9eabb2e5d001d",
-    "eigenfactor_vs_total_citations.report.json": "c2c9d7d0946ed2da247c34cb603404420e2cfdc80b9dd692ad3c0bbb2c0b4aef",
-    "eigenfactor_vs_total_citations.scatter.tsv": "eab27c2a398687c1129e7ce99b85f88e959c78965cf2b3f3bdb5aedf32789e76",
+    "eigenfactor.metric.json": "8fc42840f4cdb0b2130e520c4927d5b6fd0ddace719abd73bf362b5e04f2ca78",
+    "eigenfactor.ranks.tsv": "d57a97805e82720ca2b0f406cb6cb1140753df774f2e2139ed2155614b4b704c",
+    "eigenfactor_vs_impact_factor.report.json": "07b11b42af0f82f61dde3c523fbfc114ddb04e26b5d2b472df1bf03550a94ed2",
+    "eigenfactor_vs_impact_factor.scatter.tsv": "cb70c6215536c28e7f5b0a3f222db8284cfc96600e08677d60830b80831a49b4",
+    "eigenfactor_vs_total_citations.report.json": "b7efbe84a52d7930798f2b97511c02d69ab9851e51b053ed5a98189983b8c413",
+    "eigenfactor_vs_total_citations.scatter.tsv": "ad38d70adf1ee22d468075d92f8a05a8a41f6a480f474661f8c090688ac04e74",
     "impact_factor.metric.json": "cd8633fd3bb8fea5f1b41ddb930c8594eac0782dc8c21323b1ab82cc6c3435f8",
     "impact_factor.ranks.tsv": "f9a9275598ecc2736705d10cdae88bf2add7025cdf752c03e03486eddb1a693b",
-    "report.json": "a97967b4b18267bc1935358c87cd3bd366de80b3c2644d83c40132c7acf21769",
+    "report.json": "cf9974a19e7fb6b63dd99875fe8fbfb2a528bd8ff514e544ab974c3c1f3d52e0",
     "total_citations.metric.json": "1f937ca0692f2338de98577e2ec8b91bcab8d02b2e61ec49cca0f15e8f49fcdf",
     "total_citations.ranks.tsv": "5fa853eff76e53773ed1e9a6c98513f2f91a85211758ab0224c7ee28c05b3dd5",
     "total_citations_vs_impact_factor.report.json": "c2f8821e3b96a3b4abc22ed388559b27c6ee5ca819b66ab914fe3b226d08be17",
