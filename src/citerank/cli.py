@@ -280,7 +280,7 @@ def cmd_compare(args) -> int:
 def cmd_gen(args) -> int:
     settings = GenSettings(
         n_journals=args.journals,
-        years=_parse_years(args.years),
+        years=args.years,
         skew_exponent=args.skew,
         mean_out_citations=args.mean_out,
         seed=args.seed,
@@ -330,17 +330,6 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-def _parse_years(text: str) -> tuple[int, int]:
-    try:
-        if ":" in text:
-            first_s, last_s = text.split(":", 1)
-            return int(first_s), int(last_s)
-        year = int(text)
-        return year, year
-    except ValueError:
-        raise CiteRankError(f"--years must look like 2002:2006, got {text!r}") from None
-
-
 def _integer(low: int, high: int | None = None):
     """argparse type: an integer in [low, high]."""
     def parse(text: str) -> int:
@@ -356,9 +345,39 @@ def _integer(low: int, high: int | None = None):
     return parse
 
 
+def _real(holds, rule: str):
+    """argparse type: a float for which `holds` is true."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    return parse
+
+
 _at_least_one = _integer(1)
 # Census years and spans within 2**62 keep the window's first year inside int64.
 _YEAR_BOUND = 2**62
+_year = _integer(-_YEAR_BOUND, _YEAR_BOUND)
+# gen's bounds.  Its tables hold one article count per journal and year, and
+# about --mean-out citation events per journal.
+_GEN_JOURNALS = 10**6
+_GEN_ROWS = 10**7
+
+
+def _years(text: str) -> tuple[int, int]:
+    """argparse type: an inclusive year range A:B, or one year A."""
+    first, colon, last = text.partition(":")
+    try:
+        first, last = _year(first), _year(last if colon else first)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"must look like 2002:2006, got {text!r}: {exc}") from None
+    if last < first:
+        raise argparse.ArgumentTypeError(f"must not end before it starts, got {text!r}")
+    return first, last
 
 
 def _ks(text: str) -> list[int]:
@@ -375,13 +394,13 @@ def _add_rank_flags(sub, census_required: bool = False) -> None:
     sub.add_argument("--window-span", type=_integer(1, _YEAR_BOUND), help=(
         "publication years before --census-year whose citations count (default: "
         f"{METRIC_FLAGS['eigenfactor'].span} for eigenfactor, every record for citations)"))
-    sub.add_argument("--census-year", type=_integer(-_YEAR_BOUND, _YEAR_BOUND), default=None,
+    sub.add_argument("--census-year", type=_year, default=None,
                      required=census_required, help="year whose citations are counted")
-    sub.add_argument("--alpha", type=float,
+    sub.add_argument("--alpha", type=_real(lambda v: 0 < v < 1, "in (0, 1)"),
                      help=f"eigenfactor damping factor (default {EigenSettings.alpha})")
-    sub.add_argument("--tol", type=float,
+    sub.add_argument("--tol", type=_real(lambda v: v > 0, "> 0"),
                      help=f"eigenfactor L1 residual tolerance (default {EigenSettings.tolerance})")
-    sub.add_argument("--max-iter", type=int,
+    sub.add_argument("--max-iter", type=_at_least_one,
                      help=f"eigenfactor iteration cap (default {EigenSettings.max_iterations})")
     grp = sub.add_mutually_exclusive_group()
     grp.add_argument("--include-self", dest="include_self", action="store_const", const=True,
@@ -429,8 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd.set_defaults(func=cmd_compare)
 
     gen = commands.add_parser("gen", help="generate a seeded synthetic corpus")
-    gen.add_argument("--journals", type=int, required=True, help="number of journals")
-    gen.add_argument("--years", default="2002:2006", help="inclusive year range A:B")
+    gen.add_argument("--journals", type=_integer(1, _GEN_JOURNALS), required=True,
+                     help="number of journals")
+    gen.add_argument("--years", type=_years, default="2002:2006",
+                     help="inclusive year range A:B")
     gen.add_argument("--skew", type=float, default=1.0, help="attractiveness tail exponent")
     gen.add_argument("--mean-out", type=float, default=20.0,
                      help="mean outgoing citation events per journal")
@@ -464,6 +485,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "window_span", None) is not None and args.census_year is None:
             parser.error("--window-span needs --census-year")
+        if args.command == "gen":
+            first, last = args.years
+            for rows, what in ((args.journals * (last - first + 1), "the years in --years"),
+                               (args.journals * args.mean_out, "--mean-out")):
+                if rows > _GEN_ROWS:
+                    parser.error(f"--journals times {what} must be at most {_GEN_ROWS}")
         method = getattr(args, "method", None)  # report reads every flag
         ignored = [_option(dest, args) for dest in TUNING_FLAGS if method
                    and dest not in METRIC_FLAGS[method].reads and getattr(args, dest) is not None]

@@ -15,6 +15,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import IO, Iterable
 
 import numpy as np
@@ -33,6 +34,9 @@ _BLANKS = " \t\v\f\x1c\x1d\x1e\x1f"
 _BREAKS = re.compile("[\0\r\n]")
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 _NON_BLANK = re.compile(rb"[^\n]")
+# The bytes of rows one chunk of a CSV writer gathers at most, unless one
+# row is longer.
+_CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -274,15 +278,44 @@ def _merged(citing, cited, citing_year, cited_year, count) -> tuple[np.ndarray, 
     keys = (citing, cited, citing_year, cited_year)
     ascending, repeats = _key_order(keys)
     if not ascending:
-        order = np.lexsort(keys[::-1])
-        keys = tuple(k[order] for k in keys)
-        count = count[order]
-        _, repeats = _key_order(keys)
+        keys, count, repeats = _sorted(keys, count)
     if repeats.any():
         starts = np.flatnonzero(~repeats)
         keys = tuple(k[starts] for k in keys)
         count = np.add.reduceat(count, starts)
     return (*keys, count)
+
+
+def _sorted(keys: tuple[np.ndarray, ...], count: np.ndarray) -> tuple:
+    """The keys and counts of rows not in key order, sorted by key, and which
+    rows repeat the previous key.
+
+    Each key column is packed, as its offset from its minimum, into one int64
+    per row, which one stable argsort orders; `np.lexsort` sorts only keys
+    whose ranges need more than 63 bits together.
+    """
+    lows = [int(k.min()) for k in keys]
+    bits = [(int(k.max()) - low).bit_length() for k, low in zip(keys, lows)]
+    if sum(bits) > 63:
+        order = np.lexsort(keys[::-1])
+        keys = tuple(k[order] for k in keys)
+        return keys, count[order], _key_order(keys)[1]
+    packed = np.zeros(len(count), dtype=np.int64)
+    for k, low, b in zip(keys, lows, bits):
+        packed <<= b
+        packed |= k - low
+    order = np.argsort(packed, kind="stable")
+    packed, count = packed[order], count[order]
+    del order  # freed before the columns are unpacked, which bounds the peak memory
+    repeats = np.zeros(len(packed), dtype=bool)
+    repeats[1:] = packed[1:] == packed[:-1]
+    columns = []
+    for low, b in zip(lows[::-1], bits[::-1]):
+        column = packed & ((1 << b) - 1)
+        column += low
+        columns.append(column)
+        packed >>= b
+    return tuple(columns[::-1]), count, repeats
 
 
 def _key_order(keys: tuple[np.ndarray, ...]) -> tuple[bool, np.ndarray]:
@@ -564,34 +597,88 @@ def load_corpus(journals_path, citations_path) -> Corpus:
         return _parse_citations(journals, cf.read())
 
 
+def _csv_lines(rows: Iterable[tuple[str, ...]]) -> list[bytes]:
+    """Each row of strings as `csv.writer` writes it, in UTF-8, without its line end.
+
+    Each row is written with one more, empty, field, which is then cut off:
+    csv writes a row of one empty field as `""`, but an empty field beside
+    others as nothing.
+    """
+    lines: list[str] = []
+    # csv.writer hands each row to `write` in one call.
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (*row, "") for row in rows
+    )
+    return [line[:-2].encode("utf-8", "surrogatepass") for line in lines]
+
+
+def _integer_fields(column: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The column's distinct values as text, and which one each row holds."""
+    if not len(column):
+        return [], column
+    low, high = int(column.min()), int(column.max())
+    if high - low < len(column):  # as many values as rows at most: no sort
+        values, index = range(low, high + 1), column - low
+    else:
+        values, index = np.unique(column, return_inverse=True)
+        values = values.tolist()
+    return [str(value).encode("ascii") for value in values], index
+
+
+def _write_table(out: IO[str], header: list[str], columns: list) -> None:
+    """Write the header, then one CSV row per entry of the columns' indexes.
+
+    `columns` holds, per column, its distinct fields as CSV bytes and which
+    field each row holds.  The fields, each with its separator, lie end to
+    end in one byte array, and each chunk of rows is one gather from it, so
+    the memory taken follows the bytes written: one long name does not
+    widen every row.
+    """
+    out.write(",".join(header) + "\n")
+    n = len(columns[0][1])
+    if not n:
+        return
+    text, starts, sizes, offset = [], [], [], 0
+    for k, (fields, _) in enumerate(columns):
+        separator = b"\n" if k == len(columns) - 1 else b","
+        fields = [field + separator for field in fields]
+        text.extend(fields)
+        size = np.array(list(map(len, fields)), dtype=np.int64)
+        starts.append(offset + np.cumsum(size) - size)
+        sizes.append(size)
+        offset += int(size.sum())
+    text = np.frombuffer(b"".join(text), dtype=np.uint8)
+    step = max(1, _CHUNK_BYTES // sum(int(size.max()) for size in sizes))
+    for start in range(0, n, step):
+        # The start and size in `text` of each field of the chunk, row by row.
+        first, size = (np.stack([np.take(table, index[start:start + step])
+                                 for table, (_, index) in zip(tables, columns)], axis=1).ravel()
+                       for tables in (starts, sizes))
+        end = np.cumsum(size)
+        # Byte i of the chunk, in field f, is byte first[f] + i - (end[f] - size[f]) of `text`.
+        at = np.repeat(first - (end - size), size) + np.arange(end[-1])
+        out.write(np.take(text, at).tobytes().decode("utf-8", "surrogatepass"))
+
+
 def dump_journals(corpus: Corpus, out: IO[str]) -> None:
     """One row per article row, in (journal, year) order; a journal without
     article rows gets one row with empty year and articles."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(JOURNALS_HEADER)
     bare = np.flatnonzero(np.bincount(corpus.article_journal, minlength=corpus.n_journals) == 0)
     order = np.argsort(np.concatenate((corpus.article_journal, bare)), kind="stable")
-    journal = np.concatenate((corpus.article_journal, bare))[order]
-    empty = np.full(len(bare), "", dtype=object)
-    writer.writerows(zip(
-        np.array(corpus.ids, dtype=object)[journal].tolist(),
-        np.array(corpus.names, dtype=object)[journal].tolist(),
-        np.concatenate((corpus.article_year.astype(object), empty))[order].tolist(),
-        np.concatenate((corpus.article_count.astype(object), empty))[order].tolist(),
-    ))
+    columns = [(_csv_lines(zip(corpus.ids, corpus.names)),
+                np.concatenate((corpus.article_journal, bare))[order])]
+    for column in (corpus.article_year, corpus.article_count):
+        fields, index = _integer_fields(column)
+        # A journal without article rows takes one more field, the empty one.
+        columns.append((fields + [b""],
+                        np.concatenate((index, np.full(len(bare), len(fields))))[order]))
+    _write_table(out, JOURNALS_HEADER, columns)
 
 
 def dump_citations(corpus: Corpus, out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CITATIONS_HEADER)
-    names = np.array(corpus.ids, dtype=object)
-    writer.writerows(zip(
-        names[corpus.citing].tolist(),
-        names[corpus.cited].tolist(),
-        corpus.citing_year.tolist(),
-        corpus.cited_year.tolist(),
-        corpus.count.tolist(),
-    ))
+    ids = _csv_lines(zip(corpus.ids))
+    numbers = map(_integer_fields, (corpus.citing_year, corpus.cited_year, corpus.count))
+    _write_table(out, CITATIONS_HEADER, [(ids, corpus.citing), (ids, corpus.cited), *numbers])
 
 
 def write_corpus(corpus: Corpus, journals_path, citations_path) -> None:

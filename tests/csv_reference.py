@@ -1,9 +1,11 @@
-"""A row-by-row reader of the corpus CSV grammar, written from its definition
-in the README; the tests hold the library's parser to it.
+"""A row-by-row reader and writer of the corpus CSV grammar, written from its
+definition in the README; the tests hold the library's parser and writers to
+them.
 
-It reads a file with the csv module, checks each row in file order and
-raises a CorpusError naming the line of the first row that breaks a rule.
-It shares no parsing or checking code with the library.
+The reader reads a file with the csv module, checks each row in file order
+and raises a CorpusError naming the line of the first row that breaks a
+rule.  The writers write a Corpus one `csv.writer` row at a time.  Neither
+shares parsing, checking or formatting code with the library.
 """
 
 from __future__ import annotations
@@ -111,3 +113,27 @@ def citations(ids: tuple[str, ...], raw: bytes) -> list[tuple[int, ...]]:
             raise CorpusError("the running total of citation counts passes 2**53", line=line)
         records.append((position[row[0]], position[row[1]], citing_year, cited_year, count))
     return records
+
+
+def write_journals(corpus, out) -> None:
+    """journals.csv: one row per article row, in (journal, year) order; a
+    journal without article rows gets one row with empty year and articles."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(JOURNALS_HEADER)
+    articles = {j: [] for j in range(corpus.n_journals)}
+    for j, year, count in zip(corpus.article_journal.tolist(), corpus.article_year.tolist(),
+                              corpus.article_count.tolist()):
+        articles[j].append((year, count))
+    for j, (jid, name) in enumerate(zip(corpus.ids, corpus.names)):
+        for year, count in sorted(articles[j]) or [("", "")]:
+            writer.writerow([jid, name, year, count])
+
+
+def write_citations(corpus, out) -> None:
+    """citations.csv: one row per record, in the corpus's record order."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CITATIONS_HEADER)
+    for citing, cited, *numbers in zip(corpus.citing.tolist(), corpus.cited.tolist(),
+                                       corpus.citing_year.tolist(), corpus.cited_year.tolist(),
+                                       corpus.count.tolist()):
+        writer.writerow([corpus.ids[citing], corpus.ids[cited], *numbers])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,25 @@ def test_census_year_and_window_span_out_of_range_are_usage_errors(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, fragment", [
+    (["--alpha", "2"], "--alpha: must be in (0, 1)"),
+    (["--alpha", "0"], "--alpha: must be in (0, 1)"),
+    (["--alpha", "nan"], "--alpha: must be in (0, 1)"),
+    (["--tol", "0"], "--tol: must be > 0"),
+    (["--tol=-1e-9"], "--tol: must be > 0"),
+    (["--max-iter", "0"], "--max-iter: must be >= 1"),
+])
+@pytest.mark.parametrize("command", [["rank", "--method", "eigenfactor"],
+                                     ["report", "--census-year", "2006"]])
+def test_eigenfactor_settings_out_of_range_are_usage_errors(
+    tmp_path, toy_paths, command, flag, fragment, capsys
+):
+    out = tmp_path / "o"
+    assert run_cli(*command, *corpus_args(toy_paths), *flag, "--out", out) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_window_span_past_the_corpus_years_scores_as_a_short_one(tmp_path, toy_paths):
     scores = []
     for span in ("100", "1000000000000"):
@@ -400,14 +420,38 @@ def test_gen_single_journal(tmp_path):
 
 
 def test_gen_rejects_bad_settings(tmp_path, capsys):
-    assert run_cli("gen", "--journals", 0, "--out", tmp_path / "o") == 1
-    assert "n_journals" in capsys.readouterr().err
+    assert run_cli("gen", "--journals", 0, "--out", tmp_path / "o") == 2
+    assert "--journals: must be >= 1" in capsys.readouterr().err
 
 
 def test_gen_rejects_bad_year_syntax(tmp_path, capsys):
     code = run_cli("gen", "--journals", 5, "--years", "last-year", "--out", tmp_path / "o")
-    assert code == 1
+    assert code == 2
     assert "--years" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, fragment", [
+    (["--journals", "10", "--years", "2006:1000000000"],
+     "--journals times the years in --years must be at most 10000000"),
+    (["--journals", "1000000", "--years", "2000:2010"], "must be at most 10000000"),
+    (["--journals", "10", "--mean-out", "1e15"], "--journals times --mean-out must be at most"),
+    (["--journals", "1000001"], "--journals: must be <= 1000000"),
+    (["--journals", "5", "--years", "2006:2002"], "--years: must not end before it starts"),
+    (["--journals", "5", "--years", f"2006:{2**62 + 1}"], "--years: must look like 2002:2006"),
+])
+def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, fragment, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr("citerank.cli.generate", lambda settings: pytest.fail("generated"))
+    tracemalloc.start()
+    try:
+        code = run_cli("gen", *flags, "--out", tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "o").exists()
 
 
 def test_gen_then_rank_concentrates_under_strong_skew(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_reference
+from citerank import corpus as corpus_module
 from citerank.corpus import (
     CitationWindow,
     Corpus,
@@ -563,3 +565,95 @@ def test_merge_order_independent(corpus, rnd):
     rebuilt = corpus_from(journal_dict(corpus).values(), records)
     assert rebuilt == corpus
     assert rebuilt.total_count() == corpus.total_count()
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# Text a field must quote, or keep blanks around, or encode in more than one byte.
+FIELD_TEXT = st.text(st.sampled_from([",", '"', " ", "\t", "a", "Z", "é", "ü", "中", "😀"]),
+                     max_size=6)
+YEARS = st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]), st.integers(1990, 2010),
+                  st.integers(INT64_MIN, INT64_MAX))
+
+
+@st.composite
+def writer_corpora(draw):
+    """Corpora built directly, with ids and names csv must quote, journals
+    without article rows, int64-extreme years and counts up to 2**53."""
+    ids = sorted(draw(st.sets(FIELD_TEXT.filter(bool), min_size=1, max_size=6)))
+    names = [draw(FIELD_TEXT) for _ in ids]
+    articles = [(j, year, draw(st.integers(0, 2**53)))
+                for j in range(len(ids))
+                for year in draw(st.sets(YEARS, max_size=3))]
+    records, budget = [], 2**53
+    for _ in range(draw(st.integers(0, 12))):
+        if not budget:
+            break
+        years = sorted((draw(YEARS), draw(YEARS)))
+        count = draw(st.integers(1, budget))
+        budget -= count
+        records.append((draw(st.integers(0, len(ids) - 1)), draw(st.integers(0, len(ids) - 1)),
+                        years[1], years[0], count))
+    columns = [np.array(column, dtype=np.int64).reshape(-1) for column in zip(*articles)] or [
+        np.empty(0, dtype=np.int64)] * 3
+    records = [np.array(column, dtype=np.int64).reshape(-1) for column in zip(*records)] or [
+        np.empty(0, dtype=np.int64)] * 5
+    return Corpus(tuple(ids), tuple(names), *columns, *records)
+
+
+@given(writer_corpora(), st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_writers_match_the_csv_reference(corpus, chunk_bytes):
+    """dump_journals and dump_citations write what csv.writer writes row by
+    row, however the rows fall into chunks."""
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
+        written = serialize(corpus)
+    expected = io.StringIO(), io.StringIO()
+    csv_reference.write_journals(corpus, expected[0])
+    csv_reference.write_citations(corpus, expected[1])
+    assert written == (expected[0].getvalue(), expected[1].getvalue())
+
+
+def lexsort_merged(citing, cited, citing_year, cited_year, count):
+    """The records sorted by a four-key lexsort, with the counts of equal keys summed."""
+    order = np.lexsort((cited_year, citing_year, cited, citing))
+    keys = np.stack((citing, cited, citing_year, cited_year), axis=1)[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return (*keys[starts].T, np.add.reduceat(count[order], starts))
+
+
+SPANS = st.sampled_from([0, 4, 2**20, 2**29, 2**30, 2**62])
+
+
+@given(st.integers(0, 2**32), st.integers(2, 300), st.integers(1, 8), SPANS, SPANS)
+@example(0, 50, 2, 2**30, 2**29)  # 1 + 1 + 31 + 30 bits: packed, to the sign bit
+@example(0, 50, 2, 2**30, 2**30)  # 64 bits: lexsort
+@settings(max_examples=150, deadline=None)
+def test_merged_matches_a_lexsort_reference(seed, n, n_journals, citing_span, cited_span):
+    """Shuffled records with repeated keys merge as a four-key lexsort merges
+    them; keys whose ranges need more than 63 bits together cannot be packed
+    into one int64, so lexsort sorts them."""
+    rng = np.random.default_rng(seed)
+    spans = (n_journals - 1, n_journals - 1, citing_span, cited_span)
+    lows = [0, 0, *(int(rng.integers(INT64_MIN, INT64_MAX - s, endpoint=True)) for s in spans[2:])]
+    keys = np.stack([low + rng.integers(0, s, n, endpoint=True) for low, s in zip(lows, spans)],
+                    axis=1)
+    keys[0], keys[-1] = lows, [low + s for low, s in zip(lows, spans)]  # each column spans its span
+    rows = keys[np.r_[0, n - 1, rng.integers(0, n, 2 * n)]]  # about half the keys repeat
+    rows = rows[rng.permutation(len(rows))]
+    records = (*rows.T, rng.integers(1, 1000, len(rows)))
+    with mock.patch.object(corpus_module.np, "lexsort", wraps=np.lexsort) as lexsort:
+        merged = corpus_module._merged(*map(np.ascontiguousarray, records))
+    expected = lexsort_merged(*records)
+    assert len(merged) == len(expected) == 5
+    for got, want in zip(merged, expected):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    unpackable = sum(span.bit_length() for span in spans) > 63
+    assert lexsort.called == (unpackable and not _ascending(records))
+
+
+def _ascending(records) -> bool:
+    keys = np.stack(records[:4], axis=1).tolist()
+    return keys == sorted(keys)
