@@ -141,8 +141,8 @@ METRIC_FLAGS = {
 METHODS = tuple(METRIC_FLAGS)
 
 
-def resolve(method: str, args) -> tuple[CitationWindow, bool, EigenSettings]:
-    """The window, include_self policy and iteration settings the flags give `method`."""
+def resolve(method: str, args) -> tuple[CitationWindow, EigenSettings]:
+    """The window and iteration settings the flags give `method`."""
     flags = METRIC_FLAGS[method]
 
     def read(dest, default):
@@ -150,38 +150,30 @@ def resolve(method: str, args) -> tuple[CitationWindow, bool, EigenSettings]:
         return default if value is None else value
 
     span = read("window_span", flags.span)
+    include_self = read("include_self", flags.include_self)
     if span is None or args.census_year is None:
-        window = CitationWindow.all_years()
+        window = CitationWindow(include_self=include_self)
     else:
-        window = CitationWindow.cited(args.census_year, span)
+        window = CitationWindow(args.census_year, span, include_self)
     settings = EigenSettings(read("alpha", EigenSettings.alpha),
                              read("tol", EigenSettings.tolerance),
                              read("max_iter", EigenSettings.max_iterations))
-    return window, read("include_self", flags.include_self), settings
+    return window, settings
 
 
 def compute_metric(corpus: Corpus, method: str, args) -> MetricVector:
     """The one place a metric is scored."""
-    window, include_self, settings = resolve(method, args)
+    window, settings = resolve(method, args)
     if method == "eigenfactor":
-        matrix, articles = build_matrix(corpus, window, exclude_self=not include_self)
-        return eigen_scores(matrix, articles, settings)
+        return eigen_scores(*build_matrix(corpus, window), settings)
     if method == "citations":
-        return total_citations(corpus, window, include_self=include_self)
-    if args.census_year is None:
-        raise CiteRankError("--census-year is required for the impact-factor method")
-    return impact_factor(corpus, args.census_year)
+        return total_citations(corpus, window)
+    return impact_factor(corpus, window.census_year)
 
 
 def _unscored(corpus: Corpus, vector: MetricVector) -> list[str]:
     """The corpus journals the vector has no score for, sorted."""
     return sorted(set(corpus.ids).difference(vector.ids))
-
-
-def _load_corpus_args(args) -> Corpus:
-    if args.journals is None or args.citations is None:
-        raise CiteRankError("--journals and --citations are required")
-    return load_corpus(args.journals, args.citations)
 
 
 def _out_dir(args) -> Path:
@@ -195,7 +187,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    corpus = _load_corpus_args(args)
+    corpus = load_corpus(args.journals, args.citations)
     out = _out_dir(args)
     write_corpus(corpus, out / "journals.csv", out / "citations.csv")
     span = corpus.year_range()
@@ -224,10 +216,9 @@ def write_ranked(vector: MetricVector, args, out: Path) -> tuple[RankTable, list
 
 
 def cmd_rank(args) -> int:
-    corpus = _load_corpus_args(args)
-    out = _out_dir(args)
+    corpus = load_corpus(args.journals, args.citations)
     vector = compute_metric(corpus, args.method, args)
-    table, _ = write_ranked(vector, args, out)
+    table, _ = write_ranked(vector, args, _out_dir(args))
     print_rank_table(table, args.top, args.precision, sys.stdout)
     omitted = _unscored(corpus, vector)
     if omitted:
@@ -247,20 +238,25 @@ def _pair_name(x: MetricVector, y: MetricVector, used: set[str]) -> str:
 
 
 def compare_all(
-    vectors: list[MetricVector], ks: list[int], coverage: float, out: Path
-) -> dict[str, dict]:
-    """Compare every pair of vectors, write each pair's report and scatter
-    files, and return the index entry of each pair by name."""
+    vectors: list[MetricVector], ks: list[int], coverage: float
+) -> dict[str, ComparisonReport]:
+    """The report of every pair of vectors, by the pair's name."""
     used: set[str] = set()
+    return {_pair_name(x, y, used): compare_metrics(x, y, ks=ks, coverage=coverage)
+            for x, y in itertools.combinations(vectors, 2)}
+
+
+def write_comparisons(reports: dict[str, ComparisonReport], out: Path) -> dict[str, dict]:
+    """Write each pair's report and scatter files, and return the index entry
+    of each pair by name.  Each report leaves `reports` once it is written."""
     index: dict[str, dict] = {}
-    for x, y in itertools.combinations(vectors, 2):
-        report = compare_metrics(x, y, ks=ks, coverage=coverage)
-        name = _pair_name(x, y, used)
+    for name in list(reports):
+        report = reports.pop(name)
         files = [f"{name}.report.json", f"{name}.scatter.tsv"]
         write_json(comparison_json(report), out / files[0])
         write_scatter(report, out / files[1])
         print(
-            f"{x.metric_name} vs {y.metric_name}: "
+            f"{report.x_name} vs {report.y_name}: "
             f"pearson_log={report.pearson_log_rho:.4f} "
             f"spearman={report.spearman_rho:.4f} n={report.n}"
         )
@@ -269,11 +265,8 @@ def compare_all(
 
 
 def cmd_compare(args) -> int:
-    paths = [p for p in args.metrics.split(",") if p]
-    if len(paths) not in (2, 3):
-        raise CiteRankError(f"--metrics needs 2 or 3 files, got {len(paths)}")
-    vectors = [load_metric_file(p) for p in paths]
-    compare_all(vectors, args.ks, args.coverage, _out_dir(args))
+    vectors = [load_metric_file(p) for p in args.metrics]
+    write_comparisons(compare_all(vectors, args.ks, args.coverage), _out_dir(args))
     return 0
 
 
@@ -296,19 +289,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_report(args) -> int:
-    corpus = _load_corpus_args(args)
-    out = _out_dir(args)
+    corpus = load_corpus(args.journals, args.citations)
     vectors = [compute_metric(corpus, method, args) for method in METHODS]
+    reports = compare_all(vectors, args.ks, args.coverage)
+    out = _out_dir(args)  # only once nothing is left to fail
+    # The pair files first: each report is freed before the rank tables are made.
+    comparisons = write_comparisons(reports, out)
     metric_files = {v.metric_name: {"files": write_ranked(v, args, out)[1]} for v in vectors}
-    comparisons = compare_all(vectors, args.ks, args.coverage, out)
 
-    _, include_self, settings = resolve("eigenfactor", args)
+    window, settings = resolve("eigenfactor", args)
     bundle = {
         "metadata": {
             "tool": "citerank",
             "version": __version__,
             "settings": asdict(settings) | {
-                "exclude_self": not include_self,
+                "exclude_self": not window.include_self,
                 "census_year": args.census_year,
                 "tie_policy": args.tie_policy,
                 "ks": args.ks,
@@ -359,6 +354,8 @@ def _real(holds, rule: str):
 
 
 _at_least_one = _integer(1)
+_fraction = _real(lambda v: 0 < v < 1, "in (0, 1)")
+_positive = _real(lambda v: 0 < v < float("inf"), "finite and > 0")
 # Census years and spans within 2**62 keep the window's first year inside int64.
 _YEAR_BOUND = 2**62
 _year = _integer(-_YEAR_BOUND, _YEAR_BOUND)
@@ -385,9 +382,18 @@ def _ks(text: str) -> list[int]:
     return [_at_least_one(part) for part in text.split(",") if part]
 
 
+def _metric_paths(text: str) -> list[str]:
+    """argparse type: 2 or 3 comma-separated paths."""
+    paths = [path for path in text.split(",") if path]
+    if len(paths) not in (2, 3):
+        raise argparse.ArgumentTypeError(f"needs 2 or 3 files, got {len(paths)}")
+    return paths
+
+
 def _add_corpus_flags(sub) -> None:
-    sub.add_argument("--journals", help="journals CSV (id,name,year,articles)")
-    sub.add_argument("--citations", help="citations CSV (citing,cited,citing_year,cited_year,count)")
+    sub.add_argument("--journals", required=True, help="journals CSV (id,name,year,articles)")
+    sub.add_argument("--citations", required=True,
+                     help="citations CSV (citing,cited,citing_year,cited_year,count)")
 
 
 def _add_rank_flags(sub, census_required: bool = False) -> None:
@@ -396,7 +402,7 @@ def _add_rank_flags(sub, census_required: bool = False) -> None:
         f"{METRIC_FLAGS['eigenfactor'].span} for eigenfactor, every record for citations)"))
     sub.add_argument("--census-year", type=_year, default=None,
                      required=census_required, help="year whose citations are counted")
-    sub.add_argument("--alpha", type=_real(lambda v: 0 < v < 1, "in (0, 1)"),
+    sub.add_argument("--alpha", type=_fraction,
                      help=f"eigenfactor damping factor (default {EigenSettings.alpha})")
     sub.add_argument("--tol", type=_real(lambda v: v > 0, "> 0"),
                      help=f"eigenfactor L1 residual tolerance (default {EigenSettings.tolerance})")
@@ -413,7 +419,7 @@ def _add_rank_flags(sub, census_required: bool = False) -> None:
 
 
 def _add_compare_flags(sub) -> None:
-    sub.add_argument("--coverage", type=float, default=0.95,
+    sub.add_argument("--coverage", type=_fraction, default=0.95,
                      help="ellipse coverage probability (default 0.95)")
     sub.add_argument("--ks", type=_ks, default="1,5,10",
                      help="comma-separated k values (each >= 1) for concentration shares")
@@ -441,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank_cmd.set_defaults(func=cmd_rank)
 
     compare_cmd = commands.add_parser("compare", help="paired statistics for 2-3 metric files")
-    compare_cmd.add_argument("--metrics", required=True,
+    compare_cmd.add_argument("--metrics", type=_metric_paths, required=True,
                              help="comma-separated metric JSON files (2 or 3)")
     _add_compare_flags(compare_cmd)
     compare_cmd.add_argument("--out", required=True, help="output directory")
@@ -452,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of journals")
     gen.add_argument("--years", type=_years, default="2002:2006",
                      help="inclusive year range A:B")
-    gen.add_argument("--skew", type=float, default=1.0, help="attractiveness tail exponent")
-    gen.add_argument("--mean-out", type=float, default=20.0,
+    gen.add_argument("--skew", type=_positive, default=1.0, help="attractiveness tail exponent")
+    gen.add_argument("--mean-out", type=_positive, default=20.0,
                      help="mean outgoing citation events per journal")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
@@ -485,13 +491,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "window_span", None) is not None and args.census_year is None:
             parser.error("--window-span needs --census-year")
+        method = getattr(args, "method", None)  # report reads every flag
+        if method == "impact-factor" and args.census_year is None:
+            parser.error("--method impact-factor needs --census-year")
         if args.command == "gen":
             first, last = args.years
             for rows, what in ((args.journals * (last - first + 1), "the years in --years"),
                                (args.journals * args.mean_out, "--mean-out")):
                 if rows > _GEN_ROWS:
                     parser.error(f"--journals times {what} must be at most {_GEN_ROWS}")
-        method = getattr(args, "method", None)  # report reads every flag
         ignored = [_option(dest, args) for dest in TUNING_FLAGS if method
                    and dest not in METRIC_FLAGS[method].reads and getattr(args, dest) is not None]
         if ignored:

@@ -41,56 +41,34 @@ _CHUNK_BYTES = 2**19
 
 @dataclass(frozen=True)
 class CitationWindow:
-    """Which citations count, and which publication years supply article counts.
+    """Which citation records a metric counts, and which publication years
+    supply article counts.
 
-    mode "cited-window": citations made in `census_year` to items published
-    in the `span` preceding years, i.e. cited_year in
-    [census_year - span, census_year - 1].
-    mode "all-years": every record counts, article counts come from every
-    year present in the data.
+    With a `census_year`, the records are citations made in that year to
+    items published in the `span` preceding years, i.e. cited_year in
+    [census_year - span, census_year - 1], and the article counts come from
+    those years.  Without one, every record counts, and every year present
+    in the data supplies article counts.  Self-citations count only when
+    `include_self`.
     """
 
-    mode: str
     census_year: int | None = None
     span: int = 5
+    include_self: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("cited-window", "all-years"):
-            raise ValueError(f"unknown window mode {self.mode!r}")
-        if self.mode == "cited-window":
-            if self.census_year is None:
-                raise ValueError("cited-window mode requires a census year")
-            if self.span < 1:
-                raise ValueError(f"window span must be >= 1, got {self.span}")
-
-    @classmethod
-    def all_years(cls) -> "CitationWindow":
-        return cls(mode="all-years")
-
-    @classmethod
-    def cited(cls, census_year: int, span: int = 5) -> "CitationWindow":
-        return cls(mode="cited-window", census_year=census_year, span=span)
-
-    def mask(self, citing_years: np.ndarray, cited_years: np.ndarray) -> np.ndarray | None:
-        """Which records the window includes; None means every record is in."""
-        if self.mode == "all-years":
-            return None
-        lo = self.census_year - self.span
-        return (
-            (citing_years == self.census_year)
-            & (cited_years >= lo)
-            & (cited_years <= self.census_year - 1)
-        )
+        if self.span < 1:
+            raise ValueError(f"window span must be >= 1, got {self.span}")
 
     def publication_years(self, corpus: "Corpus") -> tuple[int, ...]:
         """The corpus's article years that the window draws article counts from."""
         years = np.unique(corpus.article_year)
-        if self.mode == "cited-window":
+        if self.census_year is not None:
             years = years[(years >= self.census_year - self.span) & (years < self.census_year)]
         return tuple(years.tolist())
 
     def describe(self) -> str:
-        if self.mode == "all-years":
+        if self.census_year is None:
             return "all-years"
         return f"census_year={self.census_year} span={self.span}"
 
@@ -175,13 +153,18 @@ class Corpus:
             self.article_journal[rows], weights=self.article_count[rows], minlength=self.n_journals
         )
 
-    def select(
-        self, window: CitationWindow, include_self: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(citing, cited, count) of the records in `window`, self-citations
-        dropped unless `include_self`."""
-        mask = window.mask(self.citing_year, self.cited_year)
-        if not include_self:
+    def select(self, window: CitationWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(citing, cited, count) of the records `window` counts; the columns
+        themselves when it counts every record."""
+        mask = None
+        if window.census_year is not None:
+            census = window.census_year
+            mask = (
+                (self.citing_year == census)
+                & (self.cited_year >= census - window.span)
+                & (self.cited_year <= census - 1)
+            )
+        if not window.include_self:
             non_self = self.citing != self.cited
             mask = non_self if mask is None else (mask & non_self)
         if mask is None:
@@ -331,11 +314,17 @@ def _key_order(keys: tuple[np.ndarray, ...]) -> tuple[bool, np.ndarray]:
     return bool((later | equal).all()), repeats
 
 
-def journal_positions(ids: np.ndarray, names: np.ndarray) -> np.ndarray:
-    """Positions of `names` in the sorted array `ids`; CorpusError on an unknown name."""
+def _positions(ids: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of `names` in the sorted array `ids`, and which names are there."""
     positions = np.searchsorted(ids, names)
     known = positions < len(ids)
     known[known] = ids[positions[known]] == names[known]
+    return positions, known
+
+
+def journal_positions(ids: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """Positions of `names` in the sorted array `ids`; CorpusError on an unknown name."""
+    positions, known = _positions(ids, names)
     if not known.all():
         raise CorpusError(f"unknown journal id {names[np.argmin(known)]!r}")
     return positions
@@ -497,46 +486,49 @@ def _loadtxt_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]
     # Fixed-width id columns must fit in the file's size, or one long id would
     # multiply the memory by the record count.  And a quoted field may hold a
     # line break, which only the string fields show.
-    if b'"' not in raw and 2 * width * (raw.count(b"\n") + 1) <= len(raw):
-        table = _loadtxt_table(
-            raw, CITATIONS_HEADER, "citations",
-            [("citing", f"S{width}"), ("cited", f"S{width}"),
-             *((name, np.int64) for name in COLUMNS[2:])],
-        )
-        keys = np.array(keys, dtype=f"S{width}")
-        columns = [table[name] for name in COLUMNS]
-    else:
+    if b'"' in raw or 2 * width * (raw.count(b"\n") + 1) > len(raw):
         text = _loadtxt_text(raw, CITATIONS_HEADER, "citations")
-        # Object arrays: numpy 2.4's searchsorted fails on variable-width strings.
-        keys = np.array([key.decode("latin-1") for key in keys], dtype=object)
-        numbers, broken = _text_integers(text[:, 2:])
-        if broken.any():
-            raise ValueError("malformed numeric field")
-        columns = [text[:, 0], text[:, 1], *numbers.T]
+        # The fields hold one character per byte, and so must the keys.
+        return _citation_columns([key.decode("latin-1") for key in keys], text)
+    table = _loadtxt_table(
+        raw, CITATIONS_HEADER, "citations",
+        [("citing", f"S{width}"), ("cited", f"S{width}"),
+         *((name, np.int64) for name in COLUMNS[2:])],
+    )
+    keys = np.array(keys, dtype=f"S{width}")
     # The positions first: their temporaries are freed before the numbers are copied.
-    positions = [journal_positions(keys, c.astype(keys.dtype, copy=False)) for c in columns[:2]]
-    return (*positions, *map(np.ascontiguousarray, columns[2:]))
+    positions = [journal_positions(keys, table[name]) for name in COLUMNS[:2]]
+    return (*positions, *(np.ascontiguousarray(table[name]) for name in COLUMNS[2:]))
 
 
-def _check_citations(ids: tuple[str, ...], text: np.ndarray, lines: list[int]) -> None:
-    """Raise a CorpusError naming the line of the first citations row, given
-    as a table of string fields, that names an unknown journal, holds a
-    number outside the integer grammar, or breaks a Corpus invariant."""
-    keys, names = np.array(ids, dtype=object), text[:, :2].astype(object)
-    known = np.isin(names, keys)
+def _citation_columns(keys, text: np.ndarray, lines=None) -> tuple:
+    """The Corpus citation columns (citing, cited, citing_year, cited_year,
+    count) of citations.csv rows, given as a table of string fields, where
+    `keys` is the sorted journal ids.
+
+    Raises a CorpusError for the first row that names an unknown journal,
+    holds a number outside the integer grammar, or breaks a Corpus
+    invariant, naming its line when `lines` is given.
+    """
+    # Object arrays, one id column at a time: numpy 2.4's searchsorted fails
+    # on variable-width strings, and Python strings are large.
+    keys = np.array(keys, dtype=object)
+    (citing, citing_known), (cited, cited_known) = (
+        _positions(keys, text[:, k].astype(object)) for k in (0, 1))
     numbers, broken = _text_integers(text[:, 2:])
     bad = _first_hit((
-        (~known[:, 0], lambda i: f"unknown journal id {text[i, 0]!r}"),
-        (~known[:, 1], lambda i: f"unknown journal id {text[i, 1]!r}"),
+        (~citing_known, lambda i: f"unknown journal id {text[i, 0]!r}"),
+        (~cited_known, lambda i: f"unknown journal id {text[i, 1]!r}"),
         (broken == 2, lambda i: f"malformed numeric field in {text[i].tolist()!r}"),
         (broken == 1, lambda i: f"numeric field outside the int64 range in {text[i].tolist()!r}"),
     ))
     end = len(text) if bad is None else bad[0]
     # A record before the first bad row may break an invariant first.
-    citing, cited = (journal_positions(keys, names[:end, k]) for k in (0, 1))
-    problem = _first_problem(len(ids), citing, cited, *numbers[:end].T) or bad
+    columns = (citing[:end], cited[:end], *numbers[:end].T)
+    problem = _first_problem(len(keys), *columns) or bad
     if problem is not None:
-        raise CorpusError(problem[1], line=lines[problem[0]])
+        raise CorpusError(problem[1], line=None if lines is None else lines[problem[0]])
+    return columns
 
 
 def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
@@ -550,7 +542,7 @@ def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
         return Corpus(*journals, *_loadtxt_columns(raw, journals[0]))
     except (ValueError, csv.Error, CorpusError) as exc:
         text, lines, error = _csv_rows(raw, CITATIONS_HEADER, "citations", exc)
-        _check_citations(journals[0], text, lines)  # a bad row before that one comes first
+        _citation_columns(journals[0], text, lines)  # a bad row before that one comes first
         raise error from None
 
 

@@ -64,8 +64,7 @@ class CrossCitationMatrix:
     columns: np.ndarray
     weights: np.ndarray
     dangling: np.ndarray
-    exclude_self: bool
-    window_label: str = ""
+    window: CitationWindow
 
     @property
     def order(self) -> int:
@@ -77,9 +76,7 @@ class CrossCitationMatrix:
 
 
 def build_matrix(
-    corpus: Corpus,
-    window: CitationWindow | None = None,
-    exclude_self: bool = True,
+    corpus: Corpus, window: CitationWindow = CitationWindow(include_self=False)
 ) -> tuple[CrossCitationMatrix, np.ndarray]:
     """Form the normalized cross-citation matrix and the article-share vector,
     each journal's fraction of the window's articles in `journal_ids` order.
@@ -87,10 +84,9 @@ def build_matrix(
     Raw weight (i, j) sums counts from citing journal j to cited journal i
     over the window; each column with any weight is scaled to sum to 1,
     zero columns are recorded as dangling.  Article shares come from the
-    window's publication years and must not be all zero.
+    window's publication years and must not be all zero.  The default window
+    counts every record but self-citations.
     """
-    if window is None:
-        window = CitationWindow.all_years()
     if corpus.n_journals < 1:
         raise MatrixBuildError("corpus has no journals")
     ids = corpus.ids
@@ -98,7 +94,7 @@ def build_matrix(
 
     # The records come sorted by (citing, cited, ...), so each (cited, citing)
     # entry's per-year counts are one run; integer sums stay exact below 2**53.
-    citing, cited, counts = corpus.select(window, include_self=not exclude_self)
+    citing, cited, counts = corpus.select(window)
     starts = np.flatnonzero(np.diff(citing, prepend=-1) | np.diff(cited, prepend=-1))
     columns, rows = citing[starts], cited[starts]
     weights = np.add.reduceat(counts, starts).astype(float)
@@ -119,8 +115,7 @@ def build_matrix(
         columns=columns,
         weights=weights,
         dangling=dangling,
-        exclude_self=exclude_self,
-        window_label=window.describe(),
+        window=window,
     )
     return xcite, raw / total_articles
 
@@ -156,7 +151,7 @@ def eigen_scores(
     scores = 100.0 * flow / flow.sum()
     provenance = (
         f"eigenfactor alpha={settings.alpha} tolerance={settings.tolerance} "
-        f"iterations={iterations} exclude_self={matrix.exclude_self} "
-        f"window=[{matrix.window_label}]"
+        f"iterations={iterations} exclude_self={not matrix.window.include_self} "
+        f"window=[{matrix.window.describe()}]"
     )
     return MetricVector("eigenfactor", matrix.journal_ids, scores, provenance)

@@ -67,22 +67,16 @@ class MetricVector:
         return len(self.ids)
 
 
-def total_citations(
-    corpus: Corpus,
-    window: CitationWindow | None = None,
-    include_self: bool = True,
-) -> MetricVector:
+def total_citations(corpus: Corpus, window: CitationWindow = CitationWindow()) -> MetricVector:
     """Sum of citation counts received by each journal within the window.
 
-    Defaults to the all-years window (every record counts).  Journals with
-    no in-edges score 0.  Self-citations are included unless
-    `include_self` is False, matching JCR's total-cites convention.
+    The default window counts every record, self-citations included, as
+    JCR's total cites do.  Journals with no in-edges score 0.
     """
-    if window is None:
-        window = CitationWindow.all_years()
-    _, cited, counts = corpus.select(window, include_self)
+    _, cited, counts = corpus.select(window)
     totals = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
-    provenance = f"total_citations window=[{window.describe()}] include_self={include_self}"
+    provenance = (f"total_citations window=[{window.describe()}] "
+                  f"include_self={window.include_self}")
     return MetricVector("total_citations", corpus.ids, totals, provenance)
 
 
@@ -102,7 +96,7 @@ def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
         raise MetricError(
             f"census year {census_year} outside the corpus year range {lo}..{hi}"
         )
-    _, cited, counts = corpus.select(CitationWindow.cited(census_year, span=2), include_self=True)
+    _, cited, counts = corpus.select(CitationWindow(census_year, span=2))
     numerators = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
     denominators = corpus.articles_in((census_year - 2, census_year - 1))
     scored = denominators > 0

@@ -58,13 +58,20 @@ def generate(settings: GenSettings) -> Corpus:
     n_years = last - first + 1
     rng = np.random.default_rng(settings.seed)
 
-    attractiveness = rng.random(n) ** (-settings.skew_exponent)
+    # A large exponent, or a u of 0, takes u ** -skew or the sum past the float range.
+    with np.errstate(over="ignore", divide="ignore"):
+        attractiveness = rng.random(n) ** (-settings.skew_exponent)
+        weight = attractiveness.sum()
+    if not np.isfinite(weight):
+        raise ValueError(
+            f"skew_exponent {settings.skew_exponent} overflows the journals' attractiveness"
+        )
     articles = 1 + rng.poisson(_ARTICLE_MEAN - 1.0, size=(n, n_years))
     out_events = rng.poisson(settings.mean_out_citations, size=n)
 
     total = int(out_events.sum())
     citing_idx = np.repeat(np.arange(n), out_events)
-    cited_idx = rng.choice(n, size=total, p=attractiveness / attractiveness.sum())
+    cited_idx = rng.choice(n, size=total, p=attractiveness / weight)
     citing_year = rng.integers(first, last + 1, size=total)
     cited_year = rng.integers(first, citing_year + 1)
 

@@ -51,6 +51,6 @@ def dense_oracle_scores(
     provenance = (
         f"eigenfactor alpha={settings.alpha} dense reference "
         f"({DENSE_ORACLE_MULTIPLICATIONS} multiplications) "
-        f"exclude_self={matrix.exclude_self} window=[{matrix.window_label}]"
+        f"exclude_self={not matrix.window.include_self} window=[{matrix.window.describe()}]"
     )
     return MetricVector("eigenfactor", matrix.journal_ids, scores, provenance)

@@ -1,16 +1,19 @@
 """Command-line behaviors: files written, exit codes, determinism."""
 
 import codecs
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from citerank import compare
@@ -72,8 +75,9 @@ def test_ingest_writes_normalized_copy(tmp_path, toy_paths, toy_corpus, capsys):
 
 
 def test_ingest_requires_corpus_flags(tmp_path, capsys):
-    assert run_cli("ingest", "--out", tmp_path / "x") == 1
-    assert "required" in capsys.readouterr().err
+    assert run_cli("ingest", "--out", tmp_path / "x") == 2
+    assert "required: --journals, --citations" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_ingest_accepts_utf8_bom(tmp_path, toy_paths, toy_corpus):
@@ -159,8 +163,9 @@ def test_rank_impact_factor_requires_census_year(tmp_path, toy_paths, capsys):
     code = run_cli(
         "rank", *corpus_args(toy_paths), "--method", "impact-factor", "--out", tmp_path / "o"
     )
-    assert code == 1
-    assert "--census-year" in capsys.readouterr().err
+    assert code == 2
+    assert "--method impact-factor needs --census-year" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rank_eigenfactor_scores_sum_to_100(tmp_path, toy_paths):
@@ -178,6 +183,7 @@ def test_rank_eigenfactor_convergence_failure_is_diagnosed(tmp_path, toy_paths, 
     )
     assert code == 1
     assert "no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rank_rerun_is_byte_identical(tmp_path, toy_paths):
@@ -312,6 +318,16 @@ def test_compare_self_comparison(tmp_path, data_dir, capsys):
     assert report["n"] == 20
 
 
+def test_compare_numbers_repeated_pair_names(tmp_path, data_dir, capsys):
+    metric = data_dir / "top20_medicine2006_eigenfactor.json"
+    out = tmp_path / "out"
+    assert run_cli("compare", "--metrics", f"{metric},{metric},{metric}", "--out", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"eigenfactor_vs_eigenfactor{suffix}.{kind}"
+        for suffix in ("", "_2", "_3") for kind in ("report.json", "scatter.tsv")
+    ]
+
+
 def test_compare_three_files_makes_three_reports(tmp_path, data_dir):
     metrics = ",".join(
         str(data_dir / f"top20_medicine2006_{name}.json")
@@ -370,8 +386,9 @@ def test_compare_too_few_common_journals(tmp_path, capsys):
 
 def test_compare_needs_two_or_three_files(tmp_path, data_dir, capsys):
     metric = data_dir / "top20_medicine2006_eigenfactor.json"
-    assert run_cli("compare", "--metrics", str(metric), "--out", tmp_path / "o") == 1
-    assert "2 or 3 files" in capsys.readouterr().err
+    assert run_cli("compare", "--metrics", str(metric), "--out", tmp_path / "o") == 2
+    assert "--metrics: needs 2 or 3 files, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("payload, fragment", [
@@ -452,6 +469,33 @@ def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, frag
     assert fragment in capsys.readouterr().err
     assert peak < 2**20
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, code, fragment", [
+    (["report", "--census-year", "2006", "--coverage", "2"], 2, "--coverage: must be in (0, 1)"),
+    (["report", "--census-year", "2006", "--coverage", "nan"], 2, "--coverage: must be in (0, 1)"),
+    (["compare", "--coverage", "0"], 2, "--coverage: must be in (0, 1)"),
+    (["gen", "--journals", "5", "--skew", "0"], 2, "--skew: must be finite and > 0"),
+    (["gen", "--journals", "5", "--skew", "inf"], 2, "--skew: must be finite and > 0"),
+    (["gen", "--journals", "5", "--skew", "nan"], 2, "--skew: must be finite and > 0"),
+    (["gen", "--journals", "5", "--mean-out", "inf"], 2, "--mean-out: must be finite and > 0"),
+    (["gen", "--journals", "5", "--mean-out", "nan"], 2, "--mean-out: must be finite and > 0"),
+    (["gen", "--journals", "5", "--mean-out", "0"], 2, "--mean-out: must be finite and > 0"),
+    (["gen", "--journals", "5", "--skew", "1e6"], 1, "citerank: error: skew_exponent 1000000.0"),
+])
+def test_bad_flag_values_exit_with_their_code_and_write_nothing(
+    tmp_path, toy_paths, data_dir, command, code, fragment, capsys
+):
+    inputs = {
+        "report": corpus_args(toy_paths),
+        "compare": ["--metrics", ",".join(
+            str(data_dir / f"top20_medicine2006_{name}.json") for name in ("eigenfactor", "citations"))],
+        "gen": [],
+    }[command[0]]
+    out = tmp_path / "o"
+    assert run_cli(command[0], *inputs, *command[1:], "--out", out) == code
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_then_rank_concentrates_under_strong_skew(tmp_path):
@@ -541,6 +585,17 @@ def test_report_pairs_each_metric_pair_once(tmp_path, toy_paths, monkeypatch):
     ]
 
 
+def test_report_that_fails_leaves_no_out(tmp_path, capsys):
+    journals, citations = tmp_path / "journals.csv", tmp_path / "citations.csv"
+    journals.write_text("id,name,year,articles\na,A,2005,10\nb,B,2005,10\n")
+    citations.write_text("citing,cited,citing_year,cited_year,count\na,b,2006,2005,3\n")
+    out = tmp_path / "o"
+    assert run_cli("report", "--journals", journals, "--citations", citations,
+                   "--census-year", "2006", "--out", out) == 1
+    assert ">= 3 common journals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_rerun_is_byte_identical(tmp_path, toy_paths):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
@@ -577,10 +632,137 @@ def test_report_default_eigenfactor_matches_the_dense_oracle(tmp_path, toy_paths
     out = tmp_path / "report"
     assert run_cli("report", *corpus_args(toy_paths), "--census-year", "2006", "--out", out) == 0
     scores = load_metric_file(out / "eigenfactor.metric.json").scores
-    matrix, articles = build_matrix(toy_corpus, CitationWindow.cited(2006, 5), exclude_self=True)
+    matrix, articles = build_matrix(toy_corpus, CitationWindow(2006, 5, include_self=False))
     oracle = dense_oracle_scores(matrix, articles).scores
     assert set(scores) == set(oracle)
     assert sum(abs(scores[j] - oracle[j]) for j in scores) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# any input: the documented output, or exit 1 with a message, or a usage error
+
+
+def mutated(data: bytes, edits) -> bytes:
+    """`data` with each edit applied: a line deleted, doubled or given a new
+    field, a few bytes inserted, or the rest cut off."""
+    for kind, at, value in edits:
+        lines = data.split(b"\n")
+        i = at % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "double":
+            lines.insert(i, lines[i])
+        elif kind == "field":
+            fields = lines[i].split(b",")
+            fields[at % len(fields)] = value
+            lines[i] = b",".join(fields)
+        data = b"\n".join(lines)
+        if kind == "insert":
+            data = data[:at % (len(data) + 1)] + value + data[at % (len(data) + 1):]
+        elif kind == "cut":
+            data = data[:at % (len(data) + 1)]
+    return data
+
+
+FIELDS = [b"", b"-1", b"0", b"7", b"2004", b"2006", b"2007", b"99999999999999999999",
+          b"9007199254740993", b"x", b"alpha", b"zeta", b'"a,b"', b'"', b" 5 ", b"1e3",
+          "\u00e9".encode(), b"\xff"]
+EDITS = st.lists(st.tuples(st.sampled_from(["delete", "double", "field", "insert", "cut"]),
+                           st.integers(0, 400),
+                           st.sampled_from(FIELDS + [b",", b"\r", b"\n", b"\0", b'""'])),
+                 max_size=3)
+METRIC_FILES = st.one_of(
+    st.sampled_from(["eigenfactor", "citations", "impact_factor"]),  # a bundled file
+    st.builds(lambda name, scores: json.dumps({"metric_name": name, "scores": scores}).encode(),
+              st.sampled_from(["eigenfactor", "custom", "total_citations", "h_index"]),
+              st.dictionaries(st.sampled_from(["alpha", "beta", "gamma", "delta", "omega"]),
+                              st.one_of(st.floats(), st.integers(-2, 2**60), st.none(),
+                                        st.text(max_size=2)), max_size=5)),
+    st.binary(max_size=40),
+)
+# Values for each flag that it accepts, and values that it may reject; None
+# stands for a flag without a value.
+FLAG_VALUES = {
+    "--census-year": (["2006", "2005", "2004", "1990", str(2**62)], ["x", str(2**62 + 1)]),
+    "--window-span": (["1", "2", "5", "10000000000000"], ["0", "x"]),
+    "--alpha": (["0.5", "0.85"], ["0", "1", "nan"]),
+    "--tol": (["1e-12", "1e-3", "inf"], ["0", "-1"]),
+    "--max-iter": (["3", "1000", "1"], ["0"]),
+    "--include-self": ([None], []),
+    "--exclude-self": ([None], []),
+    "--tie-policy": (["min", "average"], ["max"]),
+    "--precision": (["1", "6"], ["0", "x"]),
+    "--top": (["0", "2", "-3"], []),
+    "--ks": (["1,5,10", "2", "1,,3", "100"], ["0", "x"]),
+    "--coverage": (["0.95", "0.5"], ["0", "1", "nan"]),
+    "--method": (["eigenfactor", "citations", "impact-factor"], ["h-index"]),
+    "--journals": (["1", "2", "30"], ["0", "x"]),
+    "--years": (["2004:2006", "2006"], ["2006:2004", "x"]),
+    "--skew": (["0.5", "1", "400", "1e6"], ["0", "inf", "nan"]),
+    "--mean-out": (["1", "20", "300"], ["0", "inf"]),
+    "--seed": (["0", "3"], ["x"]),
+}
+RANK_FLAGS = ["--census-year", "--window-span", "--alpha", "--tol", "--max-iter", "--include-self",
+              "--exclude-self", "--tie-policy", "--precision"]
+COMMAND_FLAGS = {
+    "ingest": [],
+    "rank": RANK_FLAGS + ["--method", "--top"],
+    "compare": ["--ks", "--coverage"],
+    "gen": ["--journals", "--years", "--skew", "--mean-out", "--seed"],
+    "report": RANK_FLAGS + ["--ks", "--coverage"],
+}
+
+
+@given(command=st.sampled_from(sorted(COMMAND_FLAGS)), journal_edits=EDITS,
+       citation_edits=EDITS, metrics=st.lists(METRIC_FILES, min_size=1, max_size=2),
+       base_flags=st.integers(0, 9).map(lambda i: i != 5), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_run_ends_in_output_or_a_message(
+    toy_paths, data_dir, command, journal_edits, citation_edits, metrics, base_flags, data
+):
+    """Mutated corpus files, metric files and flag values: every run exits 0,
+    1 with a message, or 2 from argparse, and a failed run writes no --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = [tmp / "journals.csv", tmp / "citations.csv"]
+        for path, source, edits in zip(corpus, toy_paths, (journal_edits, citation_edits)):
+            path.write_bytes(mutated(source.read_bytes(), edits))
+        paths = [data_dir / "top20_medicine2006_eigenfactor.json"]
+        for i, metric in enumerate(metrics):
+            if isinstance(metric, str):
+                paths.append(data_dir / f"top20_medicine2006_{metric}.json")
+            else:
+                paths.append(tmp / f"m{i}.json")
+                paths[-1].write_bytes(metric)
+        argv = [command]
+        if base_flags:  # the flags the command needs; a drawn flag may repeat one
+            argv += {"ingest": corpus_args(corpus),
+                     "rank": [*corpus_args(corpus), "--method", "eigenfactor"],
+                     "compare": ["--metrics", ",".join(map(str, paths))],
+                     "gen": ["--journals", "12"],
+                     "report": [*corpus_args(corpus), "--census-year", "2006"]}[command]
+        # Mostly the command's own flags with values they accept.
+        own = COMMAND_FLAGS[command]
+        flags = data.draw(st.lists(st.sampled_from(own), max_size=4) if own else st.just([]))
+        if data.draw(st.integers(0, 9)) == 5:
+            flags.append(data.draw(st.sampled_from(sorted(FLAG_VALUES))))
+        for flag in flags:
+            good, bad = FLAG_VALUES[flag]
+            rejected = bad and data.draw(st.integers(0, 4)) == 2
+            value = data.draw(st.sampled_from(bad if rejected else good))
+            argv += [flag] if value is None else [flag, value]
+        out = tmp / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(*argv, "--out", out)
+        err = stderr.getvalue()
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("citerank: error: "), (argv, err)
+        if code != 0:
+            assert not out.exists(), (argv, err)
 
 
 # ---------------------------------------------------------------------------

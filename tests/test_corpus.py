@@ -450,19 +450,20 @@ def test_records_round_trip(toy_corpus):
 
 
 def includes(window, citing_year, cited_year):
-    mask = window.mask(np.array([citing_year]), np.array([cited_year]))
-    return mask is None or bool(mask[0])
+    corpus = build_corpus([("A", {}), ("B", {})], [("A", "B", citing_year, cited_year, 1)])
+    return len(corpus.select(window)[2]) == 1
 
 
-def test_window_all_years_includes_everything():
-    window = CitationWindow.all_years()
+def test_window_all_years_includes_everything(toy_corpus):
+    window = CitationWindow()
     assert includes(window, 2006, 2006)
     assert includes(window, 1990, 1970)
-    assert window.mask(None, None) is None
+    columns = (toy_corpus.citing, toy_corpus.cited, toy_corpus.count)
+    assert all(a is b for a, b in zip(toy_corpus.select(window), columns))
 
 
 def test_window_cited_mode_bounds(toy_corpus):
-    window = CitationWindow.cited(2006, span=2)
+    window = CitationWindow(2006, span=2)
     assert includes(window, 2006, 2005)
     assert includes(window, 2006, 2004)
     assert not includes(window, 2006, 2006)  # same-year citations never qualify
@@ -471,19 +472,17 @@ def test_window_cited_mode_bounds(toy_corpus):
     # the corpus's article years inside the window, however long the span
     assert window.publication_years(corpus_from([], [])) == ()
     assert window.publication_years(toy_corpus) == (2004, 2005)
-    assert CitationWindow.cited(2006, span=10**12).publication_years(toy_corpus) == (2004, 2005)
+    assert CitationWindow(2006, span=10**12).publication_years(toy_corpus) == (2004, 2005)
 
 
 def test_window_all_years_publication_years(toy_corpus):
-    assert CitationWindow.all_years().publication_years(toy_corpus) == (2004, 2005, 2006)
+    assert CitationWindow().publication_years(toy_corpus) == (2004, 2005, 2006)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"mode": "weekly"},
-        {"mode": "cited-window"},
-        {"mode": "cited-window", "census_year": 2006, "span": 0},
+        {"census_year": 2006, "span": 0},
     ],
 )
 def test_window_validation(kwargs):

@@ -6,6 +6,7 @@ several tests here assert their agreement rather than hand-computed
 values.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -66,7 +67,7 @@ def test_build_matrix_normalizes_and_zeroes_diagonal():
             ("A", "A", 2006, 2005, 9),  # self-loop, dropped
         ],
     )
-    matrix, _ = build_matrix(corpus, exclude_self=True)
+    matrix, _ = build_matrix(corpus, CitationWindow(include_self=False))
     assert column(matrix, "A") == {"B": 0.75, "C": 0.25}
     assert np.diagonal(dense_matrix(matrix)).tolist() == [0.0, 0.0, 0.0]
 
@@ -76,7 +77,7 @@ def test_build_matrix_include_self_keeps_diagonal():
         [("A", {2006: 1}), ("B", {2006: 1})],
         [("A", "A", 2006, 2005, 1), ("A", "B", 2006, 2005, 3)],
     )
-    matrix, _ = build_matrix(corpus, exclude_self=False)
+    matrix, _ = build_matrix(corpus, CitationWindow(include_self=True))
     assert column(matrix, "A") == {"A": 0.25, "B": 0.75}
 
 
@@ -85,7 +86,7 @@ def test_build_matrix_window_restricts_edges():
         [("A", {2004: 3, 2005: 5, 2006: 2}), ("B", {2004: 4, 2005: 6, 2006: 1})],
         [("A", "B", 2006, 2005, 1), ("A", "B", 2005, 2004, 1)],
     )
-    matrix, articles = build_matrix(corpus, CitationWindow.cited(2006, span=1))
+    matrix, articles = build_matrix(corpus, CitationWindow(2006, span=1, include_self=False))
     assert column(matrix, "A") == {"B": 1.0}
     dangling_ids = [jid for jid, d in zip(matrix.journal_ids, matrix.dangling) if d]
     assert dangling_ids == ["B"]
@@ -101,7 +102,7 @@ def test_build_matrix_requires_journals():
 def test_build_matrix_requires_articles_in_window():
     corpus = build_corpus([("A", {2006: 5}), ("B", {2006: 3})], [])
     with pytest.raises(MatrixBuildError, match="article"):
-        build_matrix(corpus, CitationWindow.cited(2006, span=2))
+        build_matrix(corpus, CitationWindow(2006, span=2, include_self=False))
 
 
 @given(st.integers(0, 2_000))
@@ -128,14 +129,14 @@ RECORDS = st.lists(
     max_size=40,
 )
 WINDOWS = st.sampled_from(
-    [CitationWindow.all_years(), CitationWindow.cited(2006, span=1), CitationWindow.cited(2006, span=3)]
+    [CitationWindow(), CitationWindow(2006, span=1), CitationWindow(2006, span=3)]
 )
 
 
-def scipy_reference(corpus, window, exclude_self, settings_):
+def scipy_reference(corpus, window, settings_):
     """Scores and iteration count from a compressed-sparse-column H and `@`."""
     n = corpus.n_journals
-    citing, cited, counts = corpus.select(window, include_self=not exclude_self)
+    citing, cited, counts = corpus.select(window)
     H = sp.coo_matrix((counts.astype(float), (cited, citing)), shape=(n, n)).tocsc()
     sums = np.asarray(H.sum(axis=0)).ravel()
     H.data /= sums[np.repeat(np.arange(n), np.diff(H.indptr))]
@@ -162,9 +163,10 @@ def test_scores_match_a_scipy_sparse_reference_bit_for_bit(records, window, excl
          for citing, cited, year, back, count in records],
     )
     settings_ = EigenSettings(alpha=alpha)
-    matrix, articles = build_matrix(corpus, window, exclude_self)
+    window = dataclasses.replace(window, include_self=not exclude_self)
+    matrix, articles = build_matrix(corpus, window)
     vector = eigen_scores(matrix, articles, settings_)
-    expected, iterations = scipy_reference(corpus, window, exclude_self, settings_)
+    expected, iterations = scipy_reference(corpus, window, settings_)
     assert vector.values.tobytes() == expected.tobytes()
     assert re.search(r"\biterations=(\d+)", vector.provenance)[1] == str(iterations)
 

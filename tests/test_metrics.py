@@ -66,8 +66,8 @@ def test_total_citations_single_record():
 
 def test_total_citations_self_loop_excluded():
     corpus = build_corpus([("A", {2006: 1})], [("A", "A", 2006, 2005, 7)])
-    assert total_citations(corpus, include_self=False).scores == {"A": 0.0}
-    assert total_citations(corpus, include_self=True).scores == {"A": 7.0}
+    assert total_citations(corpus, CitationWindow(include_self=False)).scores == {"A": 0.0}
+    assert total_citations(corpus, CitationWindow(include_self=True)).scores == {"A": 7.0}
 
 
 def test_total_citations_window_filters_by_census_and_span():
@@ -80,14 +80,14 @@ def test_total_citations_window_filters_by_census_and_span():
             ("A", "B", 2006, 2006, 13),  # same-year, never in a cited window
         ],
     )
-    assert total_citations(corpus, CitationWindow.cited(2006, span=1)).scores["B"] == 5.0
-    assert total_citations(corpus, CitationWindow.cited(2006, span=3)).scores["B"] == 7.0
+    assert total_citations(corpus, CitationWindow(2006, span=1)).scores["B"] == 5.0
+    assert total_citations(corpus, CitationWindow(2006, span=3)).scores["B"] == 7.0
     assert total_citations(corpus).scores["B"] == 31.0
 
 
 def test_total_citations_provenance_names_window():
     corpus = build_corpus([("A", {2006: 1})], [])
-    vector = total_citations(corpus, CitationWindow.cited(2006, span=5), include_self=False)
+    vector = total_citations(corpus, CitationWindow(2006, span=5, include_self=False))
     assert "census_year=2006" in vector.provenance
     assert "include_self=False" in vector.provenance
 
@@ -110,7 +110,7 @@ def test_total_citations_all_years_additive_over_census_years(seed):
     corpus = corpus_from(journal_dict(corpus).values(), [key + (count,) for key, count in strict.items()])
     full = total_citations(corpus).scores
     by_year = [
-        total_citations(corpus, CitationWindow.cited(year, span=10)).scores
+        total_citations(corpus, CitationWindow(year, span=10)).scores
         for year in (2004, 2005, 2006)
     ]
     for jid in corpus.ids:
