@@ -94,7 +94,7 @@ def write_rank_table(table: RankTable, path: Path, precision: int) -> None:
 
 
 def print_rank_table(table: RankTable, top: int, precision: int, out: IO[str]) -> None:
-    rows = slice(top if top > 0 else None)
+    rows = slice(top or None)  # 0 prints every row
     width = max([len("journal"), *map(len, table.journals[rows])])
     text = _rank_rows(table, rows, f"{{:>6g}}  {{:<{width}}}  {{:.{precision}g}}\n")
     out.write(f"{'rank':>6}  {'journal':<{width}}  score ({table.metric_name})\n" + text)
@@ -206,19 +206,20 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def write_ranked(vector: MetricVector, args, out: Path) -> tuple[RankTable, list[str]]:
-    """Write the vector's metric file and rank table; return the table and the file names."""
+def write_ranked(vector: MetricVector, table: RankTable, precision: int, out: Path) -> list[str]:
+    """Write the vector's metric file and its rank table; return the file names."""
     files = [f"{vector.metric_name}.metric.json", f"{vector.metric_name}.ranks.tsv"]
     write_metric_file(vector, out / files[0])
-    table = rank(vector, tie_policy=args.tie_policy)
-    write_rank_table(table, out / files[1], args.precision)
-    return table, files
+    write_rank_table(table, out / files[1], precision)
+    return files
 
 
 def cmd_rank(args) -> int:
     corpus = load_corpus(args.journals, args.citations)
     vector = compute_metric(corpus, args.method, args)
-    table, _ = write_ranked(vector, args, _out_dir(args))
+    table = rank(vector, args.tie_policy)
+    out = _out_dir(args)  # only once nothing is left to fail
+    write_ranked(vector, table, args.precision, out)
     print_rank_table(table, args.top, args.precision, sys.stdout)
     omitted = _unscored(corpus, vector)
     if omitted:
@@ -295,7 +296,8 @@ def cmd_report(args) -> int:
     out = _out_dir(args)  # only once nothing is left to fail
     # The pair files first: each report is freed before the rank tables are made.
     comparisons = write_comparisons(reports, out)
-    metric_files = {v.metric_name: {"files": write_ranked(v, args, out)[1]} for v in vectors}
+    metric_files = {v.metric_name: {"files": write_ranked(v, rank(v, args.tie_policy),
+                                                          args.precision, out)} for v in vectors}
 
     window, settings = resolve("eigenfactor", args)
     bundle = {
@@ -442,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(rank_cmd)
     rank_cmd.add_argument("--method", choices=METHODS, required=True)
     _add_rank_flags(rank_cmd)
-    rank_cmd.add_argument("--top", type=int, default=20, help="rows to print (default 20)")
+    rank_cmd.add_argument("--top", type=_integer(0), default=20,
+                          help="rows to print; 0 prints every row (default 20)")
     rank_cmd.add_argument("--out", required=True, help="output directory")
     rank_cmd.set_defaults(func=cmd_rank)
 
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--skew", type=_positive, default=1.0, help="attractiveness tail exponent")
     gen.add_argument("--mean-out", type=_positive, default=20.0,
                      help="mean outgoing citation events per journal")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_integer(0), default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import _positions
 from .errors import ComparisonError
 from .metrics import MetricVector
 
@@ -123,9 +124,7 @@ def _paired(
     contain NUL.
     """
     x_ids, y_ids = np.array(x.ids, dtype=object), np.array(y.ids, dtype=object)
-    at = np.searchsorted(x_ids, y_ids)
-    in_x = at < len(x_ids)
-    in_x[in_x] = x_ids[at[in_x]] == y_ids[in_x]
+    at, in_x = _positions(x_ids, y_ids)
     in_y = np.zeros(len(x_ids), dtype=bool)
     in_y[at[in_x]] = True
     missing = sorted(x_ids[~in_y].tolist() + y_ids[~in_x].tolist())

@@ -60,12 +60,12 @@ class CitationWindow:
         if self.span < 1:
             raise ValueError(f"window span must be >= 1, got {self.span}")
 
-    def publication_years(self, corpus: "Corpus") -> tuple[int, ...]:
-        """The corpus's article years that the window draws article counts from."""
-        years = np.unique(corpus.article_year)
-        if self.census_year is not None:
-            years = years[(years >= self.census_year - self.span) & (years < self.census_year)]
-        return tuple(years.tolist())
+    @property
+    def cited_years(self) -> tuple[int, int] | None:
+        """The first and last publication year the window counts; None for every year."""
+        if self.census_year is None:
+            return None
+        return self.census_year - self.span, self.census_year - 1
 
     def describe(self) -> str:
         if self.census_year is None:
@@ -124,14 +124,6 @@ class Corpus:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "names", names)
 
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (self.ids, self.names) == (other.ids, other.names) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ARTICLE_COLUMNS + COLUMNS
-        )
-
     @property
     def n_journals(self) -> int:
         return len(self.ids)
@@ -143,26 +135,29 @@ class Corpus:
     def total_count(self) -> int:
         return int(self.count.sum())
 
-    def articles_in(self, years: Iterable[int]) -> np.ndarray:
-        """Each journal's articles published in `years`, in `ids` order.
+    def articles_in(self, window: CitationWindow) -> np.ndarray:
+        """Each journal's articles published in the window's cited years, or in
+        every year when it has no census year, in `ids` order.
 
         float64, exact while each journal's sum stays at or below 2**53.
         """
-        rows = np.isin(self.article_year, np.fromiter(years, dtype=np.int64))
-        return np.bincount(
-            self.article_journal[rows], weights=self.article_count[rows], minlength=self.n_journals
-        )
+        journal, count = self.article_journal, self.article_count
+        if window.census_year is not None:
+            first, last = window.cited_years
+            rows = (self.article_year >= first) & (self.article_year <= last)
+            journal, count = journal[rows], count[rows]
+        return np.bincount(journal, weights=count, minlength=self.n_journals)
 
     def select(self, window: CitationWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(citing, cited, count) of the records `window` counts; the columns
         themselves when it counts every record."""
         mask = None
         if window.census_year is not None:
-            census = window.census_year
+            first, last = window.cited_years
             mask = (
-                (self.citing_year == census)
-                & (self.cited_year >= census - window.span)
-                & (self.cited_year <= census - 1)
+                (self.citing_year == window.census_year)
+                & (self.cited_year >= first)
+                & (self.cited_year <= last)
             )
         if not window.include_self:
             non_self = self.citing != self.cited

@@ -102,7 +102,7 @@ def build_matrix(
     dangling = column_sums == 0.0
     weights /= column_sums[columns]
 
-    raw = corpus.articles_in(window.publication_years(corpus))
+    raw = corpus.articles_in(window)
     total_articles = raw.sum()
     if total_articles <= 0:
         raise MatrixBuildError(

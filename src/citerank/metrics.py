@@ -96,14 +96,16 @@ def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
         raise MetricError(
             f"census year {census_year} outside the corpus year range {lo}..{hi}"
         )
-    _, cited, counts = corpus.select(CitationWindow(census_year, span=2))
+    window = CitationWindow(census_year, span=2)
+    _, cited, counts = corpus.select(window)
     numerators = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
-    denominators = corpus.articles_in((census_year - 2, census_year - 1))
+    denominators = corpus.articles_in(window)
+    first, last = window.cited_years
     scored = denominators > 0
     ids = np.array(corpus.ids, dtype=object)
     provenance = (
         f"impact_factor census_year={census_year} "
-        f"cited_years={census_year - 2}..{census_year - 1} "
+        f"cited_years={first}..{last} "
         f"omitted_zero_denominator=[{','.join(ids[~scored].tolist())}]"
     )
     return MetricVector(

@@ -11,7 +11,7 @@ import pytest
 
 from citerank.cli import load_metric_file
 from citerank.compare import RankTable
-from citerank.corpus import Corpus, journal_positions, load_corpus
+from citerank.corpus import ARTICLE_COLUMNS, COLUMNS, Corpus, journal_positions, load_corpus
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TOY_DIR = DATA_DIR / "toy"
@@ -51,6 +51,17 @@ def top20_impact():
 def published_ranks() -> dict[str, dict[str, int]]:
     with open(DATA_DIR / "top20_medicine2006_ranks.json", encoding="utf-8") as f:
         return json.load(f)["ranks"]
+
+
+def corpus_fields(corpus: Corpus) -> tuple:
+    """The corpus's ids, names and columns, the columns as lists."""
+    columns = (getattr(corpus, name).tolist() for name in ARTICLE_COLUMNS + COLUMNS)
+    return corpus.ids, corpus.names, *columns
+
+
+def same_corpus(a: Corpus, b: Corpus) -> bool:
+    """Whether the two corpora hold the same journals, article rows and records."""
+    return corpus_fields(a) == corpus_fields(b)
 
 
 def citation_dict(corpus: Corpus) -> dict[tuple[str, str, int, int], int]:

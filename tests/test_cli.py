@@ -22,6 +22,7 @@ from citerank.compare import concentration
 from citerank.corpus import CitationWindow, load_corpus
 from citerank.eigenrank import build_matrix
 from citerank.metrics import MetricVector
+from conftest import same_corpus
 from dense_oracle import dense_oracle_scores
 
 
@@ -71,7 +72,7 @@ def test_ingest_writes_normalized_copy(tmp_path, toy_paths, toy_corpus, capsys):
         "total_citation_count": 188,
         "year_range": [2004, 2006],
     }
-    assert load_corpus(out / "journals.csv", out / "citations.csv") == toy_corpus
+    assert same_corpus(load_corpus(out / "journals.csv", out / "citations.csv"), toy_corpus)
 
 
 def test_ingest_requires_corpus_flags(tmp_path, capsys):
@@ -85,7 +86,7 @@ def test_ingest_accepts_utf8_bom(tmp_path, toy_paths, toy_corpus):
     bom.mkdir()
     for path in toy_paths:
         (bom / path.name).write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-    assert load_corpus(bom / "journals.csv", bom / "citations.csv") == toy_corpus
+    assert same_corpus(load_corpus(bom / "journals.csv", bom / "citations.csv"), toy_corpus)
     assert run_cli("ingest", "--journals", bom / "journals.csv",
                    "--citations", bom / "citations.csv", "--out", tmp_path / "a") == 0
     assert run_cli("ingest", *corpus_args(toy_paths), "--out", tmp_path / "b") == 0
@@ -482,12 +483,15 @@ def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, frag
     (["gen", "--journals", "5", "--mean-out", "nan"], 2, "--mean-out: must be finite and > 0"),
     (["gen", "--journals", "5", "--mean-out", "0"], 2, "--mean-out: must be finite and > 0"),
     (["gen", "--journals", "5", "--skew", "1e6"], 1, "citerank: error: skew_exponent 1000000.0"),
+    (["gen", "--journals", "5", "--seed", "-1"], 2, "--seed: must be >= 0, got -1"),
+    (["rank", "--method", "citations", "--top", "-3"], 2, "--top: must be >= 0, got -3"),
 ])
 def test_bad_flag_values_exit_with_their_code_and_write_nothing(
     tmp_path, toy_paths, data_dir, command, code, fragment, capsys
 ):
     inputs = {
         "report": corpus_args(toy_paths),
+        "rank": corpus_args(toy_paths),
         "compare": ["--metrics", ",".join(
             str(data_dir / f"top20_medicine2006_{name}.json") for name in ("eigenfactor", "citations"))],
         "gen": [],
@@ -596,6 +600,23 @@ def test_report_that_fails_leaves_no_out(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("journals, citations, flags", [
+    # No journal published in 2004..2005, so no impact factor has a denominator.
+    ("a,A,2003,5\nb,B,2003,0\n", "a,b,2006,2003,1\n",
+     ["--method", "impact-factor", "--census-year", "2006"]),
+    ("", "", ["--method", "citations"]),
+])
+def test_rank_of_an_empty_metric_vector_leaves_no_out(tmp_path, journals, citations, flags,
+                                                      capsys):
+    paths = tmp_path / "journals.csv", tmp_path / "citations.csv"
+    paths[0].write_text("id,name,year,articles\n" + journals)
+    paths[1].write_text("citing,cited,citing_year,cited_year,count\n" + citations)
+    out = tmp_path / "o"
+    assert run_cli("rank", *corpus_args(paths), *flags, "--out", out) == 1
+    assert capsys.readouterr().err == "citerank: error: cannot rank an empty metric vector\n"
+    assert not out.exists()
+
+
 def test_report_rerun_is_byte_identical(tmp_path, toy_paths):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
@@ -692,7 +713,7 @@ FLAG_VALUES = {
     "--exclude-self": ([None], []),
     "--tie-policy": (["min", "average"], ["max"]),
     "--precision": (["1", "6"], ["0", "x"]),
-    "--top": (["0", "2", "-3"], []),
+    "--top": (["0", "2"], ["-3"]),
     "--ks": (["1,5,10", "2", "1,,3", "100"], ["0", "x"]),
     "--coverage": (["0.95", "0.5"], ["0", "1", "nan"]),
     "--method": (["eigenfactor", "citations", "impact-factor"], ["h-index"]),
@@ -700,7 +721,7 @@ FLAG_VALUES = {
     "--years": (["2004:2006", "2006"], ["2006:2004", "x"]),
     "--skew": (["0.5", "1", "400", "1e6"], ["0", "inf", "nan"]),
     "--mean-out": (["1", "20", "300"], ["0", "inf"]),
-    "--seed": (["0", "3"], ["x"]),
+    "--seed": (["0", "3"], ["x", "-1"]),
 }
 RANK_FLAGS = ["--census-year", "--window-span", "--alpha", "--tol", "--max-iter", "--include-self",
               "--exclude-self", "--tie-policy", "--precision"]

@@ -141,7 +141,7 @@ def scipy_reference(corpus, window, settings_):
     sums = np.asarray(H.sum(axis=0)).ravel()
     H.data /= sums[np.repeat(np.arange(n), np.diff(H.indptr))]
     dangling = sums == 0.0
-    a = corpus.articles_in(window.publication_years(corpus))
+    a = corpus.articles_in(window)
     a = a / a.sum()
     p = a.copy()
     for iterations in range(1, settings_.max_iterations + 1):
