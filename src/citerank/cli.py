@@ -12,12 +12,13 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
 from . import __version__
-from .compare import ComparisonReport, RankTable, compare_metrics, rank
+from .compare import (TIE_POLICIES, ComparisonReport, RankTable, check_coverage, check_k,
+                      compare_metrics, rank, vector_stats)
 from .corpus import CitationWindow, Corpus, load_corpus, write_corpus
 from .eigenrank import EigenSettings, build_matrix, eigen_scores
 from .errors import CiteRankError, MetricError
@@ -106,7 +107,7 @@ HEADLINE = ("pearson_log_rho", "spearman_rho", "n")
 
 def comparison_json(report: ComparisonReport) -> dict:
     """The pair report file's contents; tuples are written as JSON arrays."""
-    fields = HEADLINE + ("omitted", "concentration", "rank_gaps")
+    fields = HEADLINE + ("omitted",)
     return {name: getattr(report, name) for name in fields} | {"ellipse": asdict(report.ellipse)}
 
 
@@ -227,24 +228,35 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _pair_name(x: MetricVector, y: MetricVector, used: set[str]) -> str:
-    base = f"{x.metric_name}_vs_{y.metric_name}"
-    name = base
-    suffix = 2
+def _unique_name(base: str, used: set[str]) -> str:
+    """`base`, or the first of `base_2`, `base_3`, ... not in `used`; it joins `used`."""
+    name, suffix = base, 2
     while name in used:
-        name = f"{base}_{suffix}"
-        suffix += 1
+        name, suffix = f"{base}_{suffix}", suffix + 1
     used.add(name)
     return name
 
 
 def compare_all(
     vectors: list[MetricVector], ks: list[int], coverage: float
-) -> dict[str, ComparisonReport]:
-    """The report of every pair of vectors, by the pair's name."""
-    used: set[str] = set()
-    return {_pair_name(x, y, used): compare_metrics(x, y, ks=ks, coverage=coverage)
-            for x, y in itertools.combinations(vectors, 2)}
+) -> tuple[dict[str, ComparisonReport], dict[str, dict]]:
+    """The report of every pair of vectors, by the pair's name, and each
+    vector's own statistics, by a name unique among the vectors."""
+    pairs: set[str] = set()
+    reports = {_unique_name(f"{x.metric_name}_vs_{y.metric_name}", pairs):
+               compare_metrics(x, y, coverage=coverage)
+               for x, y in itertools.combinations(vectors, 2)}
+    names: set[str] = set()
+    return reports, {_unique_name(v.metric_name, names): vector_stats(v, ks) for v in vectors}
+
+
+def write_stats(stats: dict[str, dict], out: Path) -> dict[str, str]:
+    """Write each vector's stats file, and return the file's name by the vector's.
+    Each vector's stats leave `stats` once they are written."""
+    files = {name: f"{name}.stats.json" for name in stats}
+    for name, file in files.items():
+        write_json(stats.pop(name), out / file)
+    return files
 
 
 def write_comparisons(reports: dict[str, ComparisonReport], out: Path) -> dict[str, dict]:
@@ -267,18 +279,15 @@ def write_comparisons(reports: dict[str, ComparisonReport], out: Path) -> dict[s
 
 def cmd_compare(args) -> int:
     vectors = [load_metric_file(p) for p in args.metrics]
-    write_comparisons(compare_all(vectors, args.ks, args.coverage), _out_dir(args))
+    reports, stats = compare_all(vectors, args.ks, args.coverage)
+    out = _out_dir(args)  # only once nothing is left to fail
+    write_stats(stats, out)
+    write_comparisons(reports, out)
     return 0
 
 
 def cmd_gen(args) -> int:
-    settings = GenSettings(
-        n_journals=args.journals,
-        years=args.years,
-        skew_exponent=args.skew,
-        mean_out_citations=args.mean_out,
-        seed=args.seed,
-    )
+    settings = GenSettings(args.journals, args.years, args.skew, args.mean_out, args.seed)
     corpus = generate(settings)
     out = _out_dir(args)
     write_corpus(corpus, out / "journals.csv", out / "citations.csv")
@@ -292,12 +301,14 @@ def cmd_gen(args) -> int:
 def cmd_report(args) -> int:
     corpus = load_corpus(args.journals, args.citations)
     vectors = [compute_metric(corpus, method, args) for method in METHODS]
-    reports = compare_all(vectors, args.ks, args.coverage)
+    reports, stats = compare_all(vectors, args.ks, args.coverage)
     out = _out_dir(args)  # only once nothing is left to fail
-    # The pair files first: each report is freed before the rank tables are made.
+    # The stats and pair files first: each is freed before the rank tables are made.
+    stats_files = write_stats(stats, out)
     comparisons = write_comparisons(reports, out)
-    metric_files = {v.metric_name: {"files": write_ranked(v, rank(v, args.tie_policy),
-                                                          args.precision, out)} for v in vectors}
+    metric_files = {v.metric_name: {"files": [*write_ranked(v, rank(v, args.tie_policy),
+                                                            args.precision, out),
+                                              stats_files[v.metric_name]]} for v in vectors}
 
     window, settings = resolve("eigenfactor", args)
     bundle = {
@@ -327,42 +338,37 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-def _integer(low: int, high: int | None = None):
+def _checked(parse, check):
+    """argparse type: `parse` the text, then hold the value to `check`, the
+    library's own statement of the rule.  A broken rule is a usage error."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        try:
+            check(value)
+        except (ValueError, CiteRankError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
+
+
+def _integer(low: int | None = None, high: int | None = None):
     """argparse type: an integer in [low, high]."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    def check(value: int) -> None:
+        if low is not None and value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-        return value
-    return parse
+            raise ValueError(f"must be <= {high}, got {value}")
+    return _checked(int, check)
 
 
-def _real(holds, rule: str):
-    """argparse type: a float for which `holds` is true."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not holds(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-    return parse
-
-
-_at_least_one = _integer(1)
-_fraction = _real(lambda v: 0 < v < 1, "in (0, 1)")
-_positive = _real(lambda v: 0 < v < float("inf"), "finite and > 0")
 # Census years and spans within 2**62 keep the window's first year inside int64.
 _YEAR_BOUND = 2**62
 _year = _integer(-_YEAR_BOUND, _YEAR_BOUND)
-# gen's bounds.  Its tables hold one article count per journal and year, and
-# about --mean-out citation events per journal.
+# gen's size bounds.  Its tables hold one article count per journal and year,
+# and about --mean-out citation events per journal.
 _GEN_JOURNALS = 10**6
 _GEN_ROWS = 10**7
 
@@ -371,17 +377,14 @@ def _years(text: str) -> tuple[int, int]:
     """argparse type: an inclusive year range A:B, or one year A."""
     first, colon, last = text.partition(":")
     try:
-        first, last = _year(first), _year(last if colon else first)
+        return _year(first), _year(last if colon else first)
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"must look like 2002:2006, got {text!r}: {exc}") from None
-    if last < first:
-        raise argparse.ArgumentTypeError(f"must not end before it starts, got {text!r}")
-    return first, last
 
 
 def _ks(text: str) -> list[int]:
-    """argparse type: comma-separated integers, each >= 1."""
-    return [_at_least_one(part) for part in text.split(",") if part]
+    """argparse type: comma-separated concentration k values."""
+    return [_checked(int, check_k)(part) for part in text.split(",") if part]
 
 
 def _metric_paths(text: str) -> list[str]:
@@ -399,29 +402,29 @@ def _add_corpus_flags(sub) -> None:
 
 
 def _add_rank_flags(sub, census_required: bool = False) -> None:
-    sub.add_argument("--window-span", type=_integer(1, _YEAR_BOUND), help=(
+    sub.add_argument("--window-span", type=_checked(_year, lambda v: CitationWindow(span=v)), help=(
         "publication years before --census-year whose citations count (default: "
         f"{METRIC_FLAGS['eigenfactor'].span} for eigenfactor, every record for citations)"))
     sub.add_argument("--census-year", type=_year, default=None,
                      required=census_required, help="year whose citations are counted")
-    sub.add_argument("--alpha", type=_fraction,
+    sub.add_argument("--alpha", type=_checked(float, lambda v: EigenSettings(alpha=v)),
                      help=f"eigenfactor damping factor (default {EigenSettings.alpha})")
-    sub.add_argument("--tol", type=_real(lambda v: v > 0, "> 0"),
+    sub.add_argument("--tol", type=_checked(float, lambda v: EigenSettings(tolerance=v)),
                      help=f"eigenfactor L1 residual tolerance (default {EigenSettings.tolerance})")
-    sub.add_argument("--max-iter", type=_at_least_one,
+    sub.add_argument("--max-iter", type=_checked(int, lambda v: EigenSettings(max_iterations=v)),
                      help=f"eigenfactor iteration cap (default {EigenSettings.max_iterations})")
     grp = sub.add_mutually_exclusive_group()
     grp.add_argument("--include-self", dest="include_self", action="store_const", const=True,
                      help="count self-citations (default for citations)")
     grp.add_argument("--exclude-self", dest="include_self", action="store_const", const=False,
                      help="drop self-citations (default for eigenfactor)")
-    sub.add_argument("--tie-policy", choices=("average", "min"), default="min")
-    sub.add_argument("--precision", type=_at_least_one, default=6,
+    sub.add_argument("--tie-policy", choices=TIE_POLICIES, default="min")
+    sub.add_argument("--precision", type=_integer(1), default=6,
                      help="significant digits in printed tables (default 6)")
 
 
 def _add_compare_flags(sub) -> None:
-    sub.add_argument("--coverage", type=_fraction, default=0.95,
+    sub.add_argument("--coverage", type=_checked(float, check_coverage), default=0.95,
                      help="ellipse coverage probability (default 0.95)")
     sub.add_argument("--ks", type=_ks, default="1,5,10",
                      help="comma-separated k values (each >= 1) for concentration shares")
@@ -457,13 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd.set_defaults(func=cmd_compare)
 
     gen = commands.add_parser("gen", help="generate a seeded synthetic corpus")
-    gen.add_argument("--journals", type=_integer(1, _GEN_JOURNALS), required=True,
-                     help="number of journals")
-    gen.add_argument("--years", type=_years, default="2002:2006",
-                     help="inclusive year range A:B")
-    gen.add_argument("--skew", type=_positive, default=1.0, help="attractiveness tail exponent")
-    gen.add_argument("--mean-out", type=_positive, default=20.0,
-                     help="mean outgoing citation events per journal")
+    valid = GenSettings(1, (2002, 2006))  # GenSettings checks each flag's value in its field
+    gen.add_argument("--journals", required=True, help="number of journals", type=_checked(
+        _integer(high=_GEN_JOURNALS), lambda v: replace(valid, n_journals=v)))
+    gen.add_argument("--years", type=_checked(_years, lambda v: replace(valid, years=v)),
+                     default="2002:2006", help="inclusive year range A:B")
+    gen.add_argument("--skew", type=_checked(float, lambda v: replace(valid, skew_exponent=v)),
+                     default=1.0, help="attractiveness tail exponent")
+    gen.add_argument("--mean-out", default=20.0, help="mean outgoing citation events per journal",
+                     type=_checked(float, lambda v: replace(valid, mean_out_citations=v)))
     gen.add_argument("--seed", type=_integer(0), default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)

@@ -24,16 +24,32 @@ from .metrics import MetricVector
 class RankTable:
     """Journals ordered by score (descending, ties by id) with explicit ranks.
 
-    `journals`, `scores` and `ranks` are aligned, in rank order.  tie_policy
-    "min" gives tied groups the smallest position (integer ranks);
-    "average" gives them the mean of their positions.
+    `journals`, `scores` and `ranks` are aligned, in rank order.
     """
 
     metric_name: str
     journals: tuple[str, ...]
     scores: np.ndarray
     ranks: np.ndarray
-    tie_policy: str
+
+
+# How `rank` gives tied journals a rank: "min" gives a tied group the smallest
+# of its positions (integer ranks), "average" the mean of them.
+TIE_POLICIES = ("average", "min")
+
+
+def check_coverage(coverage: float) -> float:
+    """The ellipse's coverage probability, which must lie in (0, 1)."""
+    if not 0.0 < coverage < 1.0:
+        raise ComparisonError(f"coverage must be in (0, 1), got {coverage}")
+    return coverage
+
+
+def check_k(k: int) -> int:
+    """A concentration k, which must be at least 1."""
+    if k < 1:
+        raise ComparisonError(f"concentration k must be >= 1, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,6 @@ class EllipseParams:
     degenerate: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.coverage < 1.0:
-            raise ComparisonError(f"coverage must be in (0, 1), got {self.coverage}")
         major, minor = self.semi_axes
         if not major >= minor >= 0.0:
             raise ComparisonError(f"semi-axes must satisfy major >= minor >= 0, got {self.semi_axes}")
@@ -60,8 +74,7 @@ class ComparisonReport:
 
     `n` is the size of the x/y intersection (the Spearman sample);
     `omitted` lists journals missing from either vector plus those dropped
-    from the log-based statistics for non-positive values.  Concentration
-    shares and rank gaps are computed on the full x vector.  `scatter` holds
+    from the log-based statistics for non-positive values.  `scatter` holds
     the plot-ready points: (ids, log10 x, log10 y) of the positive common pairs.
     """
 
@@ -71,42 +84,38 @@ class ComparisonReport:
     spearman_rho: float
     n: int
     omitted: tuple[str, ...]
-    concentration: tuple[tuple[int, float], ...]
-    rank_gaps: tuple[float, ...]
     ellipse: EllipseParams
     scatter: tuple[list[str], np.ndarray, np.ndarray]
 
 
 def rank(scores: MetricVector, tie_policy: str = "min") -> RankTable:
     """Rank journals by score, largest first; rank 1 = largest score."""
-    if tie_policy not in ("average", "min"):
-        raise ComparisonError(f"tie_policy must be 'average' or 'min', got {tie_policy!r}")
+    if tie_policy not in TIE_POLICIES:
+        raise ComparisonError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
     if not len(scores):
         raise ComparisonError("cannot rank an empty metric vector")
     # The values are in id order, so a stable sort breaks ties by id.
     order = np.argsort(-scores.values, kind="stable")
     ordered = scores.values[order]
     journals = tuple(np.array(scores.ids, dtype=object)[order].tolist())
-    return RankTable(scores.metric_name, journals, ordered, _sorted_ranks(ordered, tie_policy),
-                     tie_policy)
+    return RankTable(scores.metric_name, journals, ordered, _sorted_ranks(ordered, tie_policy))
 
 
-def _descending_ranks(values: np.ndarray, tie_policy: str = "average") -> np.ndarray:
-    """Rank 1 for the largest value.  Tied values share the smallest of their
-    positions ("min", integer ranks) or the mean of them ("average").
+def _descending_ranks(values: np.ndarray) -> np.ndarray:
+    """Rank 1 for the largest value; tied values share the mean of their positions.
 
-    These are `scipy.stats.rankdata(-values, method=tie_policy)`, computed
-    here because importing scipy.stats takes about 0.8 s (2 vCPUs), a third
-    of a `report` on a million citation records.
+    These are `scipy.stats.rankdata(-values)`, computed here because
+    importing scipy.stats takes about 0.8 s (2 vCPUs), a third of a `report`
+    on a million citation records.
     """
     order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values), dtype=int if tie_policy == "min" else float)
-    ranks[order] = _sorted_ranks(values[order], tie_policy)
+    ranks = np.empty(len(values))
+    ranks[order] = _sorted_ranks(values[order], "average")
     return ranks
 
 
 def _sorted_ranks(ordered: np.ndarray, tie_policy: str) -> np.ndarray:
-    """`_descending_ranks` of values already in descending order."""
+    """The ranks under `tie_policy` of values already in descending order."""
     starts = np.r_[True, ordered[1:] != ordered[:-1]]
     bounds = np.flatnonzero(np.r_[starts, True])  # each tie group's first position, then n
     group = np.cumsum(starts) - 1
@@ -183,12 +192,7 @@ def concentration(
     total = sum(values)
     if total <= 0.0:
         raise ComparisonError("concentration undefined: total score is 0")
-    shares: list[tuple[int, float]] = []
-    for k in ks:
-        if k < 1:
-            raise ComparisonError(f"concentration k must be >= 1, got {k}")
-        shares.append((k, sum(values[:k]) / total))
-    return shares
+    return [(check_k(k), sum(values[:k]) / total) for k in ks]
 
 
 def rank_gaps(scores: MetricVector) -> list[float]:
@@ -197,6 +201,13 @@ def rank_gaps(scores: MetricVector) -> list[float]:
         raise ComparisonError("rank_gaps needs at least 2 journals")
     values = _descending(scores.values)
     return (values[:-1] - values[1:]).tolist()
+
+
+def vector_stats(scores: MetricVector, ks: Sequence[int]) -> dict:
+    """The statistics of one vector alone: its name, its concentration shares
+    at `ks` and its rank gaps."""
+    return {"metric_name": scores.metric_name, "concentration": concentration(scores, ks),
+            "rank_gaps": rank_gaps(scores)}
 
 
 def _descending(values: np.ndarray) -> np.ndarray:
@@ -215,8 +226,7 @@ def _ellipse(lx: np.ndarray, ly: np.ndarray, coverage: float) -> EllipseParams:
     c = -2 ln(1 - coverage), the chi-square(2) quantile at `coverage`.
     Collinear data yields a degenerate ellipse with minor axis 0.
     """
-    if not 0.0 < coverage < 1.0:
-        raise ComparisonError(f"coverage must be in (0, 1), got {coverage}")
+    scale = -2.0 * math.log(1.0 - check_coverage(coverage))
     center = (float(lx.mean()), float(ly.mean()))
     cov = np.cov(lx, ly, ddof=1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
@@ -224,29 +234,17 @@ def _ellipse(lx: np.ndarray, ly: np.ndarray, coverage: float) -> EllipseParams:
     degenerate = major_val <= 0.0 or minor_val <= major_val * _DEGENERATE_RATIO
     if degenerate:
         minor_val = 0.0
-    scale = -2.0 * math.log(1.0 - coverage)
     major, minor = math.sqrt(major_val * scale), math.sqrt(minor_val * scale)
     vx, vy = float(eigenvectors[0, 1]), float(eigenvectors[1, 1])
     if vx < 0.0 or (vx == 0.0 and vy < 0.0):
         vx, vy = -vx, -vy
     orientation = math.atan2(vy, vx)
-    return EllipseParams(
-        center=center,
-        semi_axes=(major, minor),
-        orientation_radians=orientation,
-        coverage=coverage,
-        degenerate=degenerate,
-    )
+    return EllipseParams(center, (major, minor), orientation, coverage, degenerate)
 
 
-def compare_metrics(
-    x: MetricVector,
-    y: MetricVector,
-    ks: Sequence[int] = (1, 5, 10),
-    coverage: float = 0.95,
-) -> ComparisonReport:
-    """Full paired report: correlations, concentration and gaps on x, ellipse,
-    and the scatter points, all from one pairing of the two vectors."""
+def compare_metrics(x: MetricVector, y: MetricVector, coverage: float = 0.95) -> ComparisonReport:
+    """Full paired report: correlations, ellipse and the scatter points, all
+    from one pairing of the two vectors."""
     common, xv, yv, missing = _paired(x, y)
     spearman_rho = _spearman(xv, yv)
     ids, lx, ly, omitted = _positive_logs(common, xv, yv, missing)
@@ -259,8 +257,6 @@ def compare_metrics(
         spearman_rho=spearman_rho,
         n=len(common),
         omitted=tuple(omitted),
-        concentration=tuple(concentration(x, ks)),
-        rank_gaps=tuple(rank_gaps(x)),
         ellipse=ellipse,
         scatter=(ids, lx, ly),
     )

@@ -11,6 +11,7 @@ proportional to it, so a small set of journals can absorb most citations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,10 @@ class GenSettings:
             raise ValueError(f"n_journals must be >= 1, got {self.n_journals}")
         first, last = self.years
         if last < first:
-            raise ValueError(f"empty year range {self.years}")
-        if not self.skew_exponent > 0:
-            raise ValueError(f"skew_exponent must be > 0, got {self.skew_exponent}")
-        if not self.mean_out_citations > 0:
-            raise ValueError(
-                f"mean_out_citations must be > 0, got {self.mean_out_citations}"
-            )
+            raise ValueError(f"years must not end before they start, got {self.years}")
+        for name in ("skew_exponent", "mean_out_citations"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def generate(settings: GenSettings) -> Corpus:

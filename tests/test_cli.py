@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from citerank import compare
 from citerank.cli import _json_text, load_metric_file, main, write_metric_file
-from citerank.compare import concentration
+from citerank.compare import check_coverage, check_k, concentration, rank, rank_gaps
 from citerank.corpus import CitationWindow, load_corpus
-from citerank.eigenrank import build_matrix
+from citerank.eigenrank import EigenSettings, build_matrix
+from citerank.errors import CiteRankError
 from citerank.metrics import MetricVector
+from citerank.syngen import GenSettings
 from conftest import same_corpus
 from dense_oracle import dense_oracle_scores
 
@@ -248,12 +250,12 @@ def test_census_year_and_window_span_out_of_range_are_usage_errors(
 
 
 @pytest.mark.parametrize("flag, fragment", [
-    (["--alpha", "2"], "--alpha: must be in (0, 1)"),
-    (["--alpha", "0"], "--alpha: must be in (0, 1)"),
-    (["--alpha", "nan"], "--alpha: must be in (0, 1)"),
-    (["--tol", "0"], "--tol: must be > 0"),
-    (["--tol=-1e-9"], "--tol: must be > 0"),
-    (["--max-iter", "0"], "--max-iter: must be >= 1"),
+    (["--alpha", "2"], "--alpha: alpha must be in (0, 1)"),
+    (["--alpha", "0"], "--alpha: alpha must be in (0, 1)"),
+    (["--alpha", "nan"], "--alpha: alpha must be in (0, 1)"),
+    (["--tol", "0"], "--tol: tolerance must be > 0"),
+    (["--tol=-1e-9"], "--tol: tolerance must be > 0"),
+    (["--max-iter", "0"], "--max-iter: max_iterations must be >= 1"),
 ])
 @pytest.mark.parametrize("command", [["rank", "--method", "eigenfactor"],
                                      ["report", "--census-year", "2006"]])
@@ -278,8 +280,8 @@ def test_a_window_span_past_the_corpus_years_scores_as_a_short_one(tmp_path, toy
 @pytest.mark.parametrize("command, fragment", [
     (["report", "--census-year", "2006", "--precision", "-1"], "must be >= 1"),
     (["report", "--census-year", "2006", "--precision", "0"], "must be >= 1"),
-    (["report", "--census-year", "2006", "--ks", "0"], "must be >= 1"),
-    (["report", "--census-year", "2006", "--ks", "1,-5,10"], "must be >= 1"),
+    (["report", "--census-year", "2006", "--ks", "0"], "concentration k must be >= 1"),
+    (["report", "--census-year", "2006", "--ks", "1,-5,10"], "concentration k must be >= 1"),
     (["rank", "--method", "citations", "--precision", "0"], "must be >= 1"),
     # report prints no table, so it takes no --top
     (["report", "--census-year", "2006", "--top", "5"], "unrecognized arguments: --top 5"),
@@ -299,7 +301,7 @@ def test_compare_ks_below_one_is_a_usage_error(tmp_path, data_dir, capsys):
     out.mkdir()
     metric = data_dir / "top20_medicine2006_eigenfactor.json"
     assert run_cli("compare", "--metrics", f"{metric},{metric}", "--ks", "0", "--out", out) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert "concentration k must be >= 1" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -323,10 +325,11 @@ def test_compare_numbers_repeated_pair_names(tmp_path, data_dir, capsys):
     metric = data_dir / "top20_medicine2006_eigenfactor.json"
     out = tmp_path / "out"
     assert run_cli("compare", "--metrics", f"{metric},{metric},{metric}", "--out", out) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        f"eigenfactor_vs_eigenfactor{suffix}.{kind}"
-        for suffix in ("", "_2", "_3") for kind in ("report.json", "scatter.tsv")
-    ]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"eigenfactor{suffix}.stats.json" for suffix in ("", "_2", "_3")]
+        + [f"eigenfactor_vs_eigenfactor{suffix}.{kind}"
+           for suffix in ("", "_2", "_3") for kind in ("report.json", "scatter.tsv")]
+    )
 
 
 def test_compare_three_files_makes_three_reports(tmp_path, data_dir):
@@ -439,7 +442,7 @@ def test_gen_single_journal(tmp_path):
 
 def test_gen_rejects_bad_settings(tmp_path, capsys):
     assert run_cli("gen", "--journals", 0, "--out", tmp_path / "o") == 2
-    assert "--journals: must be >= 1" in capsys.readouterr().err
+    assert "--journals: n_journals must be >= 1" in capsys.readouterr().err
 
 
 def test_gen_rejects_bad_year_syntax(tmp_path, capsys):
@@ -454,7 +457,7 @@ def test_gen_rejects_bad_year_syntax(tmp_path, capsys):
     (["--journals", "1000000", "--years", "2000:2010"], "must be at most 10000000"),
     (["--journals", "10", "--mean-out", "1e15"], "--journals times --mean-out must be at most"),
     (["--journals", "1000001"], "--journals: must be <= 1000000"),
-    (["--journals", "5", "--years", "2006:2002"], "--years: must not end before it starts"),
+    (["--journals", "5", "--years", "2006:2002"], "--years: years must not end before they start"),
     (["--journals", "5", "--years", f"2006:{2**62 + 1}"], "--years: must look like 2002:2006"),
 ])
 def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, fragment, capsys,
@@ -473,15 +476,15 @@ def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, frag
 
 
 @pytest.mark.parametrize("command, code, fragment", [
-    (["report", "--census-year", "2006", "--coverage", "2"], 2, "--coverage: must be in (0, 1)"),
-    (["report", "--census-year", "2006", "--coverage", "nan"], 2, "--coverage: must be in (0, 1)"),
-    (["compare", "--coverage", "0"], 2, "--coverage: must be in (0, 1)"),
-    (["gen", "--journals", "5", "--skew", "0"], 2, "--skew: must be finite and > 0"),
-    (["gen", "--journals", "5", "--skew", "inf"], 2, "--skew: must be finite and > 0"),
-    (["gen", "--journals", "5", "--skew", "nan"], 2, "--skew: must be finite and > 0"),
-    (["gen", "--journals", "5", "--mean-out", "inf"], 2, "--mean-out: must be finite and > 0"),
-    (["gen", "--journals", "5", "--mean-out", "nan"], 2, "--mean-out: must be finite and > 0"),
-    (["gen", "--journals", "5", "--mean-out", "0"], 2, "--mean-out: must be finite and > 0"),
+    (["report", "--census-year", "2006", "--coverage", "2"], 2, "--coverage: coverage must be in (0, 1)"),
+    (["report", "--census-year", "2006", "--coverage", "nan"], 2, "--coverage: coverage must be in (0, 1)"),
+    (["compare", "--coverage", "0"], 2, "--coverage: coverage must be in (0, 1)"),
+    (["gen", "--journals", "5", "--skew", "0"], 2, "--skew: skew_exponent must be finite and > 0"),
+    (["gen", "--journals", "5", "--skew", "inf"], 2, "--skew: skew_exponent must be finite and > 0"),
+    (["gen", "--journals", "5", "--skew", "nan"], 2, "--skew: skew_exponent must be finite and > 0"),
+    (["gen", "--journals", "5", "--mean-out", "inf"], 2, "--mean-out: mean_out_citations must be finite and > 0"),
+    (["gen", "--journals", "5", "--mean-out", "nan"], 2, "--mean-out: mean_out_citations must be finite and > 0"),
+    (["gen", "--journals", "5", "--mean-out", "0"], 2, "--mean-out: mean_out_citations must be finite and > 0"),
     (["gen", "--journals", "5", "--skew", "1e6"], 1, "citerank: error: skew_exponent 1000000.0"),
     (["gen", "--journals", "5", "--seed", "-1"], 2, "--seed: must be >= 0, got -1"),
     (["rank", "--method", "citations", "--top", "-3"], 2, "--top: must be >= 0, got -3"),
@@ -500,6 +503,53 @@ def test_bad_flag_values_exit_with_their_code_and_write_nothing(
     assert run_cli(command[0], *inputs, *command[1:], "--out", out) == code
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+def _year_range(text):
+    return tuple(map(int, text.split(":")))
+
+
+# Each settings rule: the flag that sets it, how its text parses, values the
+# command line rejects for breaking the rule, and the rule's library home.
+# The command line's size bounds (gen's journal and row caps, years within
+# 2**62) are its own and have no library home.
+SETTINGS_RULES = {
+    "coverage": ("report", "--coverage", float, ["0", "1", "-0.5", "nan", "inf"], check_coverage),
+    "ks": ("report", "--ks", int, ["0", "-5"], check_k),
+    "tie_policy": ("report", "--tie-policy", str, ["max", "dense", ""],
+                   lambda policy: rank(MetricVector.from_scores("custom", {"a": 1.0}), policy)),
+    "alpha": ("report", "--alpha", float, ["0", "1", "-0.3", "nan", "inf"],
+              lambda value: EigenSettings(alpha=value)),
+    "tol": ("report", "--tol", float, ["0", "-1e-9", "nan", "-inf"],
+            lambda value: EigenSettings(tolerance=value)),
+    "max_iter": ("report", "--max-iter", int, ["0", "-1"],
+                 lambda value: EigenSettings(max_iterations=value)),
+    "window_span": ("report", "--window-span", int, ["0", "-3"],
+                    lambda value: CitationWindow(2006, span=value)),
+    "journals": ("gen", "--journals", int, ["0", "-1"],
+                 lambda value: GenSettings(value, (2002, 2006))),
+    "years": ("gen", "--years", _year_range, ["2006:2002", "1:0"],
+              lambda value: GenSettings(5, value)),
+    "skew": ("gen", "--skew", float, ["0", "-1", "inf", "nan"],
+             lambda value: GenSettings(5, (2002, 2006), skew_exponent=value)),
+    "mean_out": ("gen", "--mean-out", float, ["0", "-1", "inf", "nan"],
+                 lambda value: GenSettings(5, (2002, 2006), mean_out_citations=value)),
+}
+
+
+@pytest.mark.parametrize("rule, text", [(rule, text) for rule, (*_, values, _) in
+                                        SETTINGS_RULES.items() for text in values])
+def test_the_library_rejects_every_setting_the_cli_rejects(tmp_path, toy_paths, rule, text,
+                                                           capsys):
+    command, flag, parse, _, home = SETTINGS_RULES[rule]
+    inputs = ([*corpus_args(toy_paths), "--census-year", "2006"] if command == "report"
+              else ["--journals", "5"])
+    out = tmp_path / "o"
+    assert run_cli(command, *inputs, f"{flag}={text}", "--out", out) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises((ValueError, CiteRankError)):
+        home(parse(text))
 
 
 def test_gen_then_rank_concentrates_under_strong_skew(tmp_path):
@@ -532,15 +582,18 @@ def test_report_bundle_on_toy_corpus(tmp_path, toy_paths):
     assert names == [
         "eigenfactor.metric.json",
         "eigenfactor.ranks.tsv",
+        "eigenfactor.stats.json",
         "eigenfactor_vs_impact_factor.report.json",
         "eigenfactor_vs_impact_factor.scatter.tsv",
         "eigenfactor_vs_total_citations.report.json",
         "eigenfactor_vs_total_citations.scatter.tsv",
         "impact_factor.metric.json",
         "impact_factor.ranks.tsv",
+        "impact_factor.stats.json",
         "report.json",
         "total_citations.metric.json",
         "total_citations.ranks.tsv",
+        "total_citations.stats.json",
         "total_citations_vs_impact_factor.report.json",
         "total_citations_vs_impact_factor.scatter.tsv",
     ]
@@ -550,7 +603,7 @@ def test_report_bundle_on_toy_corpus(tmp_path, toy_paths):
     assert bundle["metadata"]["omissions"]["impact_factor_zero_denominator"] == ["omega"]
     assert set(bundle) == {"metadata", "metrics", "comparisons"}
     assert bundle["metrics"] == {
-        name: {"files": [f"{name}.metric.json", f"{name}.ranks.tsv"]}
+        name: {"files": [f"{name}.metric.json", f"{name}.ranks.tsv", f"{name}.stats.json"]}
         for name in ("eigenfactor", "total_citations", "impact_factor")
     }
     assert set(bundle["comparisons"]) == {
@@ -569,6 +622,39 @@ def test_report_bundle_on_toy_corpus(tmp_path, toy_paths):
         assert {key: entry[key] for key in ("pearson_log_rho", "spearman_rho", "n")} == {
             key: pair[key] for key in ("pearson_log_rho", "spearman_rho", "n")
         }
+
+
+@pytest.mark.parametrize("ks", [None, "2,1,40"])
+def test_report_writes_each_metrics_stats_once(tmp_path, toy_paths, ks):
+    out = tmp_path / "report"
+    flags = [] if ks is None else ["--ks", ks]
+    assert run_cli("report", *corpus_args(toy_paths), "--census-year", "2006", *flags,
+                   "--out", out) == 0
+    for name in ("eigenfactor", "total_citations", "impact_factor"):
+        vector = load_metric_file(out / f"{name}.metric.json")
+        stats = json.loads((out / f"{name}.stats.json").read_text())
+        assert stats == {
+            "metric_name": name,
+            "concentration": [list(share) for share in
+                              concentration(vector, [int(k) for k in (ks or "1,5,10").split(",")])],
+            "rank_gaps": rank_gaps(vector),
+        }
+    for path in out.glob("*.report.json"):
+        assert not {"concentration", "rank_gaps"} & set(json.loads(path.read_text()))
+
+
+def test_compare_writes_each_inputs_stats(tmp_path, data_dir):
+    paths = [data_dir / f"top20_medicine2006_{name}.json"
+             for name in ("eigenfactor", "citations", "impact_factor")]
+    out = tmp_path / "out"
+    assert run_cli("compare", "--metrics", ",".join(map(str, paths)), "--ks", "3",
+                   "--out", out) == 0
+    for path in paths:
+        vector = load_metric_file(path)
+        stats = json.loads((out / f"{vector.metric_name}.stats.json").read_text())
+        assert stats == {"metric_name": vector.metric_name,
+                         "concentration": [list(share) for share in concentration(vector, [3])],
+                         "rank_gaps": rank_gaps(vector)}
 
 
 def test_report_pairs_each_metric_pair_once(tmp_path, toy_paths, monkeypatch):

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from citerank.compare import (
+    TIE_POLICIES,
     EllipseParams,
     _descending_ranks,
+    check_coverage,
     compare_metrics,
     concentration,
     rank,
     rank_gaps,
     spearman,
+    vector_stats,
 )
 from citerank.errors import ComparisonError
 from citerank.metrics import MetricVector
@@ -181,13 +184,19 @@ def test_spearman_rejects_constant_input():
 
 
 @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 7.0]), max_size=30),
-       st.sampled_from(["min", "average"]))
+       st.sampled_from(TIE_POLICIES))
 def test_descending_ranks_match_scipy_rankdata(values, tie_policy):
     values = np.array(values, dtype=float)
-    ranks = _descending_ranks(values, tie_policy)
-    expected = rankdata(-values, method=tie_policy)
+    ranks = _descending_ranks(values)
+    expected = rankdata(-values, method="average")
     assert ranks.tolist() == expected.tolist()
     assert ranks.dtype.kind == expected.dtype.kind
+    if len(values):
+        # ids in index order, so the table's ties fall in index order too
+        table = rank(vec({f"j{i:02d}": v for i, v in enumerate(values)}), tie_policy)
+        expected = rankdata(-values, method=tie_policy)[np.argsort(-values, kind="stable")]
+        assert table.ranks.tolist() == expected.tolist()
+        assert table.ranks.dtype.kind == expected.dtype.kind
 
 
 def test_average_ranks_with_ties():
@@ -459,6 +468,15 @@ def test_rank_gaps_bundled_eigen_first_gap(top20_eigen):
     assert gaps[0] == pytest.approx(0.2181, abs=1e-12)
 
 
+def test_vector_stats_are_the_vectors_concentration_and_gaps(top20_eigen):
+    stats = vector_stats(top20_eigen, (1, 5, 10))
+    assert stats == {"metric_name": "eigenfactor",
+                     "concentration": concentration(top20_eigen, (1, 5, 10)),
+                     "rank_gaps": rank_gaps(top20_eigen)}
+    shares = [share for _, share in stats["concentration"]]
+    assert shares == sorted(shares)
+
+
 # ---------------------------------------------------------------------------
 # density ellipse
 
@@ -534,7 +552,7 @@ def test_ellipse_coverage_validation():
     with pytest.raises(ComparisonError, match="coverage"):
         compare_metrics(x, y, coverage=1.0)
     with pytest.raises(ComparisonError, match="coverage"):
-        EllipseParams((0.0, 0.0), (1.0, 1.0), 0.0, coverage=0.0)
+        check_coverage(0.0)
 
 
 def test_ellipse_params_axis_order_validation():
@@ -547,7 +565,7 @@ def test_ellipse_params_axis_order_validation():
 
 
 def test_compare_metrics_bundled_report(top20_eigen, top20_citations):
-    report = compare_metrics(top20_eigen, top20_citations, ks=(1, 5, 10))
+    report = compare_metrics(top20_eigen, top20_citations)
     assert report.n == 20
     assert report.omitted == ()
     assert report.spearman_rho == pytest.approx(
@@ -556,10 +574,6 @@ def test_compare_metrics_bundled_report(top20_eigen, top20_citations):
     assert report.pearson_log_rho == pytest.approx(
         FROZEN_RHO[("eigenfactor", "total_citations")]["pearson_log"], abs=1e-12
     )
-    shares = [share for _, share in report.concentration]
-    assert shares == sorted(shares)
-    assert len(report.rank_gaps) == 19
-    assert report.rank_gaps[0] == pytest.approx(0.2181, abs=1e-12)
     assert abs(report.pearson_log_rho) <= 1.0 and abs(report.spearman_rho) <= 1.0
     assert report.ellipse.coverage == 0.95
 

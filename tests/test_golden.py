@@ -8,7 +8,10 @@ two `report.json` digests were recorded again when that file became an
 index of the other files.  The `report` digests that depend on eigenfactor
 (`eigenfactor.*`, `eigenfactor_vs_*.*` and `report.json`) were recorded
 again when `report` began to score eigenfactor through `rank`'s path, on the
-5-year cited window; its `eigenfactor.*` digests now equal `rank`'s.  Every
+5-year cited window; its `eigenfactor.*` digests now equal `rank`'s.  The
+pair `*.report.json` and `report.json` digests were recorded again, and the
+`*.stats.json` digests added, when each metric's concentration shares and
+rank gaps moved out of the pair files into one stats file per metric.  Every
 other digest is the original.
 
 The `rank`, `ingest` and script digests were recorded before the journal
@@ -37,32 +40,38 @@ GEN_DIGESTS = {
 GEN_REPORT_DIGESTS = {
     "eigenfactor.metric.json": "75f2c4f0cb1b29e588743bf47c2145d6e246bc5f22e8e810ff217ffb496125a5",
     "eigenfactor.ranks.tsv": "79f628ebcba957b570d2fd374ac99e3f831b5ed073df30953535a2d9ace02c73",
-    "eigenfactor_vs_impact_factor.report.json": "f902672f510999aeb004bdcbf3d1af2d07fcd540cf8370d4232b7e1189095337",
+    "eigenfactor.stats.json": "d53a4903c92a32196b9b7dcafc8da93d5485b6290a0d1b796672ab5c1e0378a2",
+    "eigenfactor_vs_impact_factor.report.json": "d580b4db0a188a874d0cb2c1e3830fa5241dd18180c139631c5810993cfeb879",
     "eigenfactor_vs_impact_factor.scatter.tsv": "ee941bbd55e65dbd8f240c929b6e44f0f1d8d2b9a372b288b40713ec41257f9f",
-    "eigenfactor_vs_total_citations.report.json": "6fa4c15129e1adb7d7a331a830807665c67119b293cb41618655a03e765bea3a",
+    "eigenfactor_vs_total_citations.report.json": "dbc9bcbdfe5eb7629571320f52b327a4ccb9ee9d1da270e7193d90dd460a6491",
     "eigenfactor_vs_total_citations.scatter.tsv": "0ba7b6eeef0a43bfa6b9c75edb8e670dcd433010579c4d7666368ec29bdb312d",
     "impact_factor.metric.json": "3666b5c9aae32676bce7e49c18ac5023092cbd44564c9df237ec5828f19ed11f",
     "impact_factor.ranks.tsv": "e73b13bbb010b06977a6c41bae591da7782f2a05b0335b196ca07b3f523419d4",
-    "report.json": "6f3729b4f89ddb00fabb497f6e0af4886db24855de4bbe087b624a4fe3d7c543",
+    "impact_factor.stats.json": "c61d72e1a2b47d84c01ca82f4038c174ca61a5e19b09756e22306a2aae3be32c",
+    "report.json": "53cec08910ad18059e0f768d8ed8434008fc4b007df2941f5e5e3083890e4ca2",
     "total_citations.metric.json": "df08cb16f8a959b14e3c880e28cb51742ef456136ff673b0a6397fc3e7cab6c4",
     "total_citations.ranks.tsv": "7a86597c68bfb92e2b800c68442336e44cb7be39df58092c4e5644188123da54",
-    "total_citations_vs_impact_factor.report.json": "43c74edd4a068a689fbc9a801bddda5d1988a5059a3bba2a581b0df011903274",
+    "total_citations.stats.json": "14d72470b97ce65f9f1059529f4fbfcf84f3f90c3ef979d2f0718df2d9236cf6",
+    "total_citations_vs_impact_factor.report.json": "93586228dad18e1102b9665b72272db3d5d9da77c484726911b5a82d01c5064e",
     "total_citations_vs_impact_factor.scatter.tsv": "4736ccf3d1748876091c6d2f229d74e50c1a98bdf86574ccdf51645841eac03d",
 }
 
 TOY_REPORT_DIGESTS = {
     "eigenfactor.metric.json": "8fc42840f4cdb0b2130e520c4927d5b6fd0ddace719abd73bf362b5e04f2ca78",
     "eigenfactor.ranks.tsv": "d57a97805e82720ca2b0f406cb6cb1140753df774f2e2139ed2155614b4b704c",
-    "eigenfactor_vs_impact_factor.report.json": "07b11b42af0f82f61dde3c523fbfc114ddb04e26b5d2b472df1bf03550a94ed2",
+    "eigenfactor.stats.json": "eb2a4784109f1e65a9b80b5bfbebe5911d56537715571fd69ebc790c4b8e08d1",
+    "eigenfactor_vs_impact_factor.report.json": "e4675b9847dfe7387414dd73d0d543424b9d9fadd5f370052ef07bd2a3219a40",
     "eigenfactor_vs_impact_factor.scatter.tsv": "cb70c6215536c28e7f5b0a3f222db8284cfc96600e08677d60830b80831a49b4",
-    "eigenfactor_vs_total_citations.report.json": "b7efbe84a52d7930798f2b97511c02d69ab9851e51b053ed5a98189983b8c413",
+    "eigenfactor_vs_total_citations.report.json": "b81aaf659dc2fc201429a1563c155ae7c666f61370eaf0fbe6eefd56780af9fd",
     "eigenfactor_vs_total_citations.scatter.tsv": "ad38d70adf1ee22d468075d92f8a05a8a41f6a480f474661f8c090688ac04e74",
     "impact_factor.metric.json": "cd8633fd3bb8fea5f1b41ddb930c8594eac0782dc8c21323b1ab82cc6c3435f8",
     "impact_factor.ranks.tsv": "f9a9275598ecc2736705d10cdae88bf2add7025cdf752c03e03486eddb1a693b",
-    "report.json": "cf9974a19e7fb6b63dd99875fe8fbfb2a528bd8ff514e544ab974c3c1f3d52e0",
+    "impact_factor.stats.json": "f5d04bcd12f6a25ed6ca6a850043a1b642cf8261963e41bfaafd296e068d63a9",
+    "report.json": "6c72fbbc3bb122f9d967b029a488bba6a71bf09de83e61a5c021a83883d6666a",
     "total_citations.metric.json": "1f937ca0692f2338de98577e2ec8b91bcab8d02b2e61ec49cca0f15e8f49fcdf",
     "total_citations.ranks.tsv": "5fa853eff76e53773ed1e9a6c98513f2f91a85211758ab0224c7ee28c05b3dd5",
-    "total_citations_vs_impact_factor.report.json": "c2f8821e3b96a3b4abc22ed388559b27c6ee5ca819b66ab914fe3b226d08be17",
+    "total_citations.stats.json": "23a4dc4a279589eb526f10c9d9c370e4379b280b921c5e6d42a5af8e673bc330",
+    "total_citations_vs_impact_factor.report.json": "685c30fec354d2b53f1891b26992d31af01c67a8bde9ddbebc95373b0b870c66",
     "total_citations_vs_impact_factor.scatter.tsv": "7b910d997a2d2d376a2c833ef4dcc2280e3755df34f06a5553697203c2e63fbe",
 }
 
