@@ -8,7 +8,9 @@ and raw citation counts, averaged over seeds.
 """
 
 import argparse
+from dataclasses import replace
 
+from citerank.cli import _checked, _integer, _years
 from citerank.compare import concentration, spearman
 from citerank.eigenrank import build_matrix, eigen_scores
 from citerank.metrics import total_citations
@@ -21,23 +23,28 @@ def top_share(vector, k):
 
 
 def main(argv=None):
+    valid = GenSettings(1, (2002, 2006))  # GenSettings checks each flag's value in its field
+    skew = _checked(float, lambda v: replace(valid, skew_exponent=v))
     parser = argparse.ArgumentParser(
         description="sweep the synthetic generator's skew exponent"
     )
-    parser.add_argument("--n-journals", type=int, default=300)
-    parser.add_argument("--years", default="2002:2006", metavar="FIRST:LAST")
-    parser.add_argument("--mean-out", type=float, default=30.0)
-    parser.add_argument("--seeds", type=int, default=5, help="seeds to average over")
-    parser.add_argument("--exponents", default="0.25,0.5,1.0,2.0,4.0")
+    parser.add_argument("--n-journals", default=300,
+                        type=_checked(int, lambda v: replace(valid, n_journals=v)))
+    parser.add_argument("--years", default="2002:2006", metavar="FIRST:LAST",
+                        type=_checked(_years, lambda v: replace(valid, years=v)))
+    parser.add_argument("--mean-out", default=30.0,
+                        type=_checked(float, lambda v: replace(valid, mean_out_citations=v)))
+    parser.add_argument("--seeds", type=_integer(1), default=5, help="seeds to average over")
+    parser.add_argument("--exponents", default="0.25,0.5,1.0,2.0,4.0",
+                        type=lambda text: [skew(part) for part in text.split(",") if part])
     args = parser.parse_args(argv)
 
-    first, last = (int(part) for part in args.years.split(":"))
-    exponents = [float(part) for part in args.exponents.split(",")]
+    first, last = args.years
     k = max(1, args.n_journals // 10)
 
     print(f"n={args.n_journals}, years {first}:{last}, top decile = top {k}")
     print(f"{'skew':>6}  {'top-decile eigen share':>22}  {'spearman(eigen, cites)':>22}")
-    for exponent in exponents:
+    for exponent in args.exponents:
         shares, rhos = [], []
         for seed in range(args.seeds):
             corpus = generate(

@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=1.0, help="attractiveness tail exponent")
     gen.add_argument("--mean-out", default=20.0, help="mean outgoing citation events per journal",
                      type=_checked(float, lambda v: replace(valid, mean_out_citations=v)))
-    gen.add_argument("--seed", type=_integer(0), default=0)
+    gen.add_argument("--seed", type=_checked(int, lambda v: replace(valid, seed=v)), default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 

@@ -364,38 +364,42 @@ def _prepared(raw: bytes) -> bytes:
     return raw.replace(b"\r", b"\n") if b"\r" in raw else raw
 
 
-def _loadtxt_table(
-    raw: bytes, expected: list[str], what: str, dtype, ndmin: int = 1, usecols=None
-) -> np.ndarray:
-    """The rows after the header of a `_prepared` file, read by numpy's C parser.
+def _loadtxt_table(raw: bytes, expected: list[str], what: str, dtype=None, ndmin: int = 2,
+                   usecols=None) -> np.ndarray:
+    """The rows after the header of a `_prepared` file, read by numpy's C parser;
+    without a `dtype`, every field as a string, one row per record.
 
     Each byte is read as one character, so string fields hold the UTF-8
     bytes of the text.  Under that reading numpy's integer reader takes no
     byte above 0x7F but 0x85 and 0xA0, as whitespace, and in valid UTF-8
     both follow a lead byte it rejects.  Raises ValueError, csv.Error or
-    CorpusError for a file it cannot read.
+    CorpusError for a file it cannot read, such as one with a row of another
+    length or a field holding a line break, which numpy's parser reads.
     """
+    # A new StringDType per read: numpy 2.4 fails a read in a SystemError after one failed with it.
+    dtype = np.dtypes.StringDType() if dtype is None else dtype
     body_start = raw.find(b"\n") + 1 or len(raw)
     if raw:  # an empty file has no header and no rows
         _check_header(next(csv.reader([raw[:body_start].decode("latin-1")]), None), expected, what)
     if _NON_BLANK.search(raw, body_start) is None:
         return np.empty((0, len(expected))[:ndmin], dtype=dtype)  # loadtxt would warn
+    # Only a quoted field can hold a line break; it joins the lines it spans into
+    # one row, so numpy reads fewer rows than non-empty lines, counted first here.
+    lines = None
+    if b'"' in raw:  # from the header's LF on, an LF that follows another ends an empty line
+        ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8, offset=body_start - 1) == 10)
+        lines = np.count_nonzero(np.diff(ends) > 1) + (not raw.endswith(b"\n"))
+        del ends
     body = io.BytesIO(raw)
     body.seek(body_start)
-    return np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
-                      usecols=usecols, encoding="latin-1", dtype=dtype)
-
-
-def _loadtxt_text(raw: bytes, expected: list[str], what: str) -> np.ndarray:
-    """Every field of a `_prepared` file as a string, one row per record;
-    ValueError for a row of another length or a field holding a line break."""
-    text = _loadtxt_table(raw, expected, what, np.dtypes.StringDType(), ndmin=2)
-    if text.shape[1:] != (len(expected),):
-        raise ValueError(f"{what} rows need {len(expected)} fields")
-    # Only a quoted field can hold a line break.
-    if b'"' in raw and (np.strings.find(text, "\n") >= 0).any():
+    table = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
+                       usecols=usecols, encoding="latin-1", dtype=dtype)
+    if lines is not None and len(table) != lines:
         raise ValueError("a field holds a line break")
-    return text
+    # numpy holds each row to the first one's length, but not to the header's.
+    if usecols is None and table.ndim == 2 and table.shape[1] != len(expected):
+        raise ValueError(f"{what} rows need {len(expected)} fields")
+    return table
 
 
 def _utf8(strings: np.ndarray) -> tuple[str, ...]:
@@ -408,21 +412,31 @@ def _utf8(strings: np.ndarray) -> tuple[str, ...]:
     return tuple("\n".join(strings.tolist()).encode("latin-1").decode("utf-8").split("\n"))
 
 
-def _journal_columns(text: np.ndarray, lines=None, numbers=None) -> tuple:
+def _numeric_hits(text: np.ndarray, broken: np.ndarray) -> tuple:
+    """The `_first_hit` checks for the rows `_text_integers` found broken."""
+    return (
+        (broken == 2, lambda i: f"malformed numeric field in {text[i].tolist()!r}"),
+        (broken == 1, lambda i: f"numeric field outside the int64 range in {text[i].tolist()!r}"),
+    )
+
+
+def _journal_columns(text: np.ndarray, lines=None, raw=None) -> tuple:
     """The Corpus journal fields (ids, names, article_journal, article_year,
     article_count) of journals.csv rows, given as a table of string fields.
 
     A row with empty year and articles declares a journal without article
-    data.  `numbers` is the year and articles columns, where numpy's integer
-    reader has read them already.  Raises a CorpusError for the first row
-    with an empty id, a name other than its id's first, a number outside
-    the integer grammar, or an article count or year the Corpus rejects,
-    naming its line when `lines` is given.
+    data.  Given `raw`, the `_prepared` file of the table, numpy's integer
+    reader reads the years and articles when every row has them.  Raises a
+    CorpusError for the first row with an empty id, a name other than its
+    id's first, a number outside the integer grammar, or an article count or
+    year the Corpus rejects, naming its line when `lines` is given.
     """
     row_ids, row_names = text[:, 0], text[:, 1]
     data = (text[:, 2] != "") | (text[:, 3] != "")
     broken = np.zeros(len(text), dtype=int)
-    if numbers is None:
+    if raw is not None and data.all():  # several times faster than _text_integers
+        numbers = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.int64, usecols=(2, 3))
+    else:
         numbers, broken = _text_integers(text[:, 2:])
         broken[~data] = 0
     ids, first, journal = np.unique(row_ids, return_index=True, return_inverse=True)
@@ -432,8 +446,7 @@ def _journal_columns(text: np.ndarray, lines=None, numbers=None) -> tuple:
         (row_names != names[journal],
          lambda i: f"journal {row_ids[i]!r} listed with conflicting names "
                    f"{names[journal[i]]!r} and {row_names[i]!r}"),
-        (broken == 2, lambda i: f"malformed numeric field in {text[i].tolist()!r}"),
-        (broken == 1, lambda i: f"numeric field outside the int64 range in {text[i].tolist()!r}"),
+        *_numeric_hits(text, broken),
     ))]
     rows = np.flatnonzero(data & (broken == 0))
     year, count = numbers[rows, 0], numbers[rows, 1]
@@ -446,50 +459,39 @@ def _journal_columns(text: np.ndarray, lines=None, numbers=None) -> tuple:
     return ids, names, journal[rows], year, count
 
 
+def _loadtxt_journals(raw: bytes) -> tuple:
+    """The Corpus journal fields of a `_prepared` journals.csv, read by numpy's C parser."""
+    # Variable-width strings: a fixed width would size every row by the longest name.
+    ids, names, *articles = _journal_columns(_loadtxt_table(raw, JOURNALS_HEADER, "journals"),
+                                             raw=raw)
+    return _utf8(ids), _utf8(names), *articles
+
+
 def _parse_journals(raw: bytes) -> tuple:
     """Journal rows are `id,name,year,articles`, one per (journal, year); a row
     with empty year and articles declares a journal with no article data.
     A UTF-8 byte order mark is ignored."""
-    raw = raw.removeprefix(codecs.BOM_UTF8)
-    try:
-        prepared = _prepared(raw)
-        # Variable-width strings: a fixed width would size every row by the longest name.
-        text = _loadtxt_text(prepared, JOURNALS_HEADER, "journals")
-        numbers = None
-        if ((text[:, 2] != "") | (text[:, 3] != "")).all():  # else _text_integers reads them
-            # numpy's integer reader is three times faster than _text_integers.
-            numbers = _loadtxt_table(prepared, JOURNALS_HEADER, "journals", np.int64, ndmin=2,
-                                     usecols=(2, 3))
-        ids, names, *articles = _journal_columns(text, numbers=numbers)
-    except (ValueError, csv.Error, CorpusError) as exc:
-        text, lines, error = _csv_rows(raw, JOURNALS_HEADER, "journals", exc)
-        _journal_columns(text, lines)  # a bad row before that one comes first
-        raise error from None
-    return _utf8(ids), _utf8(names), *articles
+    return _parsed(raw, JOURNALS_HEADER, "journals", _loadtxt_journals, _journal_columns)
 
 
 def _loadtxt_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """Citation columns read by numpy's C parser.
+    """Citation columns of a `_prepared` citations.csv, read by numpy's C parser
+    with the ids as fixed-width bytes, quoted or not.
 
     Raises ValueError, csv.Error or CorpusError for any file it cannot read.
     `ids` hold no LF, as no id read from journals.csv does.
     """
-    raw = _prepared(raw)
     keys = "\n".join(ids).encode("utf-8").split(b"\n") if ids else []
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
     width = max(map(len, keys), default=0) + 1
-    # Fixed-width id columns must fit in the file's size, or one long id would
-    # multiply the memory by the record count.  And a quoted field may hold a
-    # line break, which only the string fields show.
-    if b'"' in raw or 2 * width * (raw.count(b"\n") + 1) > len(raw):
-        text = _loadtxt_text(raw, CITATIONS_HEADER, "citations")
+    # Only where fixed-width id columns would outgrow the file, as one long id
+    # can make them, are the ids read as variable-width strings.
+    if 2 * width * (raw.count(b"\n") + 1) > len(raw):
+        text = _loadtxt_table(raw, CITATIONS_HEADER, "citations")
         # The fields hold one character per byte, and so must the keys.
         return _citation_columns([key.decode("latin-1") for key in keys], text)
-    table = _loadtxt_table(
-        raw, CITATIONS_HEADER, "citations",
-        [("citing", f"S{width}"), ("cited", f"S{width}"),
-         *((name, np.int64) for name in COLUMNS[2:])],
-    )
+    dtype = [(name, f"S{width}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
+    table = _loadtxt_table(raw, CITATIONS_HEADER, "citations", dtype, ndmin=1)
     keys = np.array(keys, dtype=f"S{width}")
     # The positions first: their temporaries are freed before the numbers are copied.
     positions = [journal_positions(keys, table[name]) for name in COLUMNS[:2]]
@@ -514,8 +516,7 @@ def _citation_columns(keys, text: np.ndarray, lines=None) -> tuple:
     bad = _first_hit((
         (~citing_known, lambda i: f"unknown journal id {text[i, 0]!r}"),
         (~cited_known, lambda i: f"unknown journal id {text[i, 1]!r}"),
-        (broken == 2, lambda i: f"malformed numeric field in {text[i].tolist()!r}"),
-        (broken == 1, lambda i: f"numeric field outside the int64 range in {text[i].tolist()!r}"),
+        *_numeric_hits(text, broken),
     ))
     end = len(text) if bad is None else bad[0]
     # A record before the first bad row may break an invariant first.
@@ -532,36 +533,32 @@ def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
 
     `journals` is the Corpus journal fields, ids first.
     """
+    return _parsed(raw, CITATIONS_HEADER, "citations",
+                   lambda prepared: Corpus(*journals, *_loadtxt_columns(prepared, journals[0])),
+                   lambda text, lines: _citation_columns(journals[0], text, lines))
+
+
+def _parsed(raw: bytes, expected: list[str], what: str, read, check):
+    """`read` of the `_prepared` file, after any UTF-8 byte order mark.
+
+    A file `read` rejects is re-read with the csv module up to the first row
+    that is not `len(expected)` fields free of NUL, CR and LF, whose error is
+    raised unless `check(text, lines)` of the rows before it raises first.
+    """
     raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
-        return Corpus(*journals, *_loadtxt_columns(raw, journals[0]))
-    except (ValueError, csv.Error, CorpusError) as exc:
-        text, lines, error = _csv_rows(raw, CITATIONS_HEADER, "citations", exc)
-        _citation_columns(journals[0], text, lines)  # a bad row before that one comes first
-        raise error from None
-
-
-def _csv_rows(raw: bytes, expected: list[str], what: str, fast_error) -> tuple:
-    """Re-read a file that numpy's parser rejected with the csv module, up to
-    the first row that is not `len(expected)` fields free of NUL, CR and LF.
-
-    Returns the rows before it as a table of string fields, the line each
-    ends on, and that row's error; a bad row among the others is the
-    caller's to find.  Raises the error of a file that is not valid UTF-8
-    or lacks the header.
-    """
+        return read(_prepared(raw))
+    except (ValueError, csv.Error, CorpusError) as exc:  # its traceback is freed before the re-read
+        error = CorpusError(f"{what} file could not be read: {exc}")
     try:
-        source = raw.decode("utf-8")
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
     except UnicodeDecodeError as exc:
         line = len(_LINE_BREAK.findall(raw, 0, exc.start)) + 1
         raise CorpusError("not valid UTF-8", line=line) from None
-    reader = csv.reader(io.StringIO(source, newline=""))
     _check_header(next(reader, None), expected, what)
-    rows, lines, error = [], [], CorpusError(f"{what} file could not be read: {fast_error}")
+    rows, lines = [], []
     try:
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):  # skips blank lines
             if len(row) != len(expected):
                 message = f"{what} row needs {len(expected)} fields, got {len(row)}"
             elif _BREAKS.search("".join(row)):
@@ -574,7 +571,10 @@ def _csv_rows(raw: bytes, expected: list[str], what: str, fast_error) -> tuple:
             break
     except csv.Error as exc:
         error = CorpusError(str(exc), line=reader.line_num)
-    return np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected)), lines, error
+    text = np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected))
+    del rows, reader  # the rows and the file's text are freed before the check
+    check(text, lines)
+    raise error
 
 
 def load_corpus(journals_path, citations_path) -> Corpus:

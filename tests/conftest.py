@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 from typing import NamedTuple
@@ -15,6 +16,15 @@ from citerank.corpus import ARTICLE_COLUMNS, COLUMNS, Corpus, journal_positions,
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 TOY_DIR = DATA_DIR / "toy"
+SCRIPTS_DIR = DATA_DIR.parent / "scripts"
+
+
+def load_script(name: str):
+    """The module of a script in scripts/, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS_DIR / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -486,7 +486,7 @@ def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, frag
     (["gen", "--journals", "5", "--mean-out", "nan"], 2, "--mean-out: mean_out_citations must be finite and > 0"),
     (["gen", "--journals", "5", "--mean-out", "0"], 2, "--mean-out: mean_out_citations must be finite and > 0"),
     (["gen", "--journals", "5", "--skew", "1e6"], 1, "citerank: error: skew_exponent 1000000.0"),
-    (["gen", "--journals", "5", "--seed", "-1"], 2, "--seed: must be >= 0, got -1"),
+    (["gen", "--journals", "5", "--seed", "-1"], 2, "--seed: seed must be >= 0, got -1"),
     (["rank", "--method", "citations", "--top", "-3"], 2, "--top: must be >= 0, got -3"),
 ])
 def test_bad_flag_values_exit_with_their_code_and_write_nothing(
@@ -534,6 +534,8 @@ SETTINGS_RULES = {
              lambda value: GenSettings(5, (2002, 2006), skew_exponent=value)),
     "mean_out": ("gen", "--mean-out", float, ["0", "-1", "inf", "nan"],
                  lambda value: GenSettings(5, (2002, 2006), mean_out_citations=value)),
+    "seed": ("gen", "--seed", int, ["-1", "-5"],
+             lambda value: GenSettings(5, (2002, 2006), seed=value)),
 }
 
 

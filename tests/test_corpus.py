@@ -238,6 +238,16 @@ JOURNAL_SETS = [(ids, ids, [], [], []) for ids in (SHORT_IDS, LONG_IDS)]
     b'id,name,year,articles\r"x\ry",Alpha,2006,1\r',
     b'citing,cited,citing_year,cited_year,count\r"x\ry",b,2006,2005,1\ra,b,2006,2005,1\r',
     JOURNAL_SETS[1])
+@example(  # every field quoted, as csv.QUOTE_ALL writes it, with CRLF endings
+    b'"id","name","year","articles"\r\n"a","Alpha","2006","1"\r\n"a,b","Beta","2006","2"\r\n',
+    b'"citing","cited","citing_year","cited_year","count"\r\n"a","a,b","2006","2005","1"\r\n'
+    b'"q""x","\xc3\xa9","2006","2006","3"\r\n"a,b","a","2005","2004","2"\r\n', JOURNAL_SETS[0])
+@example(  # a quoted LF in the count field of a last row with no final newline
+    b"", b'citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\nb,a,2006,2005,"2\n"',
+    JOURNAL_SETS[0])
+@example(  # a quoted field that spans a blank line
+    b"", b'citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n"a\n\nb",b,2006,2005,1\n',
+    JOURNAL_SETS[0])
 @settings(max_examples=500, deadline=None)
 def test_parser_matches_the_csv_reference(journals_raw, citations_raw, journals):
     """numpy's parser reads every valid file as the csv-module reference in
@@ -266,6 +276,23 @@ def test_a_long_journal_id_does_not_multiply_the_parse_memory():
         tracemalloc.stop()
     assert citation_rows(corpus) == [("a", "b", 2006, 2005, 2_000), ("b", "a", 2006, 2004, 4_000)]
     assert peak < 32 * len(citations)
+
+
+def test_an_all_quoted_citations_file_is_read_with_fixed_width_ids():
+    """Quoted ids are read as fixed-width bytes, as unquoted ones are, so the
+    parse peaks at a few times the file's size."""
+    journals = "id,name,year,articles\na,A,2006,1\nb,B,2006,1\n"
+    citations = '"citing","cited","citing_year","cited_year","count"\n' + 2_000 * (
+        '"a","b","2006","2005","1"\n"b","a","2006","2004","2"\n'
+    )
+    tracemalloc.start()
+    try:
+        corpus = parse_strings(journals, citations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert citation_rows(corpus) == [("a", "b", 2006, 2005, 2_000), ("b", "a", 2006, 2004, 4_000)]
+    assert peak < 6 * len(citations)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,13 @@ other command whose writers that rewrite touched.
 """
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 from citerank.cli import main
 
-SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+from conftest import load_script
 
 GEN_ARGS = ["--journals", "300", "--mean-out", "20", "--seed", "3"]
 
@@ -196,9 +195,7 @@ def test_ingest_matches_recorded_digests(corpus, corpora, tmp_path, capsys):
 
 @pytest.mark.parametrize("script, argv", sorted(SCRIPT_DIGESTS))
 def test_script_output_matches_recorded_digest(script, argv, capsys):
-    spec = importlib.util.spec_from_file_location(Path(script).stem, SCRIPTS_DIR / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(script)
     capsys.readouterr()
     module.main(list(argv))
     assert sha256(capsys.readouterr().out) == SCRIPT_DIGESTS[script, argv]

@@ -1,7 +1,9 @@
 """Seeded synthetic corpus generation and its skew behavior."""
 
 import io
+import re
 
+import numpy as np
 import pytest
 
 from citerank.compare import concentration
@@ -9,7 +11,7 @@ from citerank.corpus import dump_citations, dump_journals
 from citerank.metrics import total_citations
 from citerank.syngen import GenSettings, generate
 
-from conftest import citation_dict, journal_dict
+from conftest import citation_dict, journal_dict, load_script
 
 
 def serialized(corpus):
@@ -92,6 +94,21 @@ def test_settings_validation(kwargs):
         GenSettings(**kwargs)
 
 
+@pytest.mark.parametrize("seed, fragment", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+])
+def test_seed_must_be_an_integer_at_least_zero(seed, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        GenSettings(5, (2002, 2006), seed=seed)
+
+
+def test_a_numpy_integer_seed_generates_as_the_int_does():
+    numpy_seed = generate(GenSettings(5, (2002, 2006), seed=np.int64(3)))
+    assert serialized(numpy_seed) == serialized(generate(GenSettings(5, (2002, 2006), seed=3)))
+
+
 # ---------------------------------------------------------------------------
 # skew behavior
 
@@ -124,3 +141,25 @@ def test_top_decile_share_monotone_in_skew():
         means.append(sum(shares) / len(shares))
     assert all(a <= b for a, b in zip(means, means[1:]))
     assert means[0] < 0.35 < 0.5 < means[-1]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--n-journals", "0"], "argument --n-journals: n_journals must be >= 1, got 0"),
+    (["--mean-out", "inf"], "argument --mean-out: mean_out_citations must be finite and > 0"),
+    (["--exponents", "0.5,-1"], "argument --exponents: skew_exponent must be finite and > 0"),
+    (["--exponents", "0.5,x"], "argument --exponents: invalid float value: 'x'"),
+    (["--years", "2006:2002"], "argument --years: years must not end before they start"),
+    (["--years", "2006:"], "argument --years: must look like 2002:2006"),
+    (["--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+])
+def test_skew_sweep_bad_values_are_usage_errors(argv, fragment, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_script("skew_sweep.py").main(argv)
+    assert exit_info.value.code == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_skew_sweep_takes_one_year(capsys):
+    load_script("skew_sweep.py").main(
+        ["--years", "2006", "--n-journals", "20", "--seeds", "1", "--exponents", "1"])
+    assert "n=20, years 2006:2006, top decile = top 2" in capsys.readouterr().out
