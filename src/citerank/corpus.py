@@ -10,13 +10,15 @@ order-independent.
 
 from __future__ import annotations
 
+import bisect
 import codecs
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -35,7 +37,7 @@ _BREAKS = re.compile("[\0\r\n]")
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 _NON_BLANK = re.compile(rb"[^\n]")
 # The bytes of rows one chunk of a CSV writer gathers at most, unless one
-# row is longer.
+# row is longer, and about the bytes of one block the citations reader reads.
 _CHUNK_BYTES = 2**19
 
 
@@ -228,15 +230,22 @@ def _article_problem(ids, journal, year, count) -> tuple[int, str] | None:
     ))
 
 
-def _first_problem(n_journals, citing, cited, citing_year, cited_year, count):
+def _first_problem(n_journals, citing, cited, citing_year, cited_year, count, total=0):
     """(row, reason) for the first record that breaks an invariant; None if all hold.
 
     The invariants: both journals exist, 1 <= count <= 2**53, cited_year <=
-    citing_year, and the running total of counts stays at or below 2**53
-    (which bounds every merged count too).
+    citing_year, and the running total of counts, from the `total` of the
+    records before these, stays at or below 2**53 (which bounds every merged
+    count too).
     """
     # Clipping keeps the running sum from wrapping before it first passes the bound.
-    running = np.cumsum(np.clip(count, 0, MAX_COUNT + 1))
+    # The sum is taken in place and freed before the other checks, which bounds
+    # the peak memory of a read.
+    running = np.clip(count, 0, MAX_COUNT + 1)
+    np.cumsum(running, out=running)
+    running += total
+    passes = running > MAX_COUNT
+    del running
     return _first_hit((
         ((citing < 0) | (citing >= n_journals) | (cited < 0) | (cited >= n_journals),
          lambda i: f"citation references unknown journal position {citing[i]} or {cited[i]}"),
@@ -244,7 +253,7 @@ def _first_problem(n_journals, citing, cited, citing_year, cited_year, count):
          lambda i: f"citation count must be >= 1 and <= 2**53, got {count[i]}"),
         (cited_year > citing_year,
          lambda i: f"cited_year {cited_year[i]} is after citing_year {citing_year[i]}"),
-        (running > MAX_COUNT, lambda i: "the running total of citation counts passes 2**53"),
+        (passes, lambda i: "the running total of citation counts passes 2**53"),
     ))
 
 
@@ -352,22 +361,62 @@ def _text_integers(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(wellformed & in_range, stripped, "0").astype(np.int64), broken
 
 
-def _prepared(raw: bytes) -> bytes:
-    """The file for numpy's parser, each CR made a LF (so a CRLF leaves a blank
-    line, which is skipped); ValueError unless it is valid UTF-8 without NUL."""
-    if b"\0" in raw:
+def _blocks(file: IO[bytes]) -> Iterator[bytes]:
+    """The rest of a binary file in blocks of about `_CHUNK_BYTES`, each but the
+    last ending after a line break.
+
+    No block ends between the CR and LF of a CRLF, so the blocks' line
+    breaks are the file's, and a block of a UTF-8 file is UTF-8 on its own.
+    """
+    rest = b""
+    while chunk := file.read(_CHUNK_BYTES):
+        rest += chunk
+        # A CR at the end may be the first half of a CRLF.
+        cut = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, len(rest) - 1)) + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _census(file: IO[bytes]) -> tuple[list[tuple[int, int]], int]:
+    """The (byte offset, line breaks before it) of each of the `_blocks` of the
+    rest of the file and of its end, and the CRs and LFs it holds.
+
+    Raises a CorpusError naming the line of the first byte that is not UTF-8.
+    """
+    starts, offset, lines, breaks = [], file.tell(), 0, 0
+    for block in _blocks(file):
+        starts.append((offset, lines))
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = lines + len(_LINE_BREAK.findall(block, 0, exc.start)) + 1
+                raise CorpusError("not valid UTF-8", line=line) from None
+        lf = np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+        cr = block.count(b"\r") if b"\r" in block else 0
+        breaks += lf + cr
+        lines += lf + cr - (cr and block.count(b"\r\n"))
+        offset += len(block)
+    starts.append((offset, lines))
+    return starts, breaks
+
+
+def _prepared(block: bytes) -> bytes:
+    """The block for numpy's parser, each CR made a LF (so a CRLF leaves a blank
+    line, which is skipped); ValueError if it holds a NUL."""
+    if b"\0" in block:
         raise ValueError("the file holds a NUL")
-    if not raw.isascii():  # in slices: a str of the file can take 4 bytes a character
-        decoder = codecs.getincrementaldecoder("utf-8")()  # raises a ValueError
-        for start in range(0, len(raw) + 1, 2**20):
-            decoder.decode(memoryview(raw)[start:start + 2**20], final=start + 2**20 > len(raw))
-    return raw.replace(b"\r", b"\n") if b"\r" in raw else raw
+    return block.replace(b"\r", b"\n") if b"\r" in block else block
 
 
 def _loadtxt_table(raw: bytes, expected: list[str], what: str, dtype=None, ndmin: int = 2,
-                   usecols=None) -> np.ndarray:
-    """The rows after the header of a `_prepared` file, read by numpy's C parser;
-    without a `dtype`, every field as a string, one row per record.
+                   usecols=None, header: bool = True) -> np.ndarray:
+    """The rows of a `_prepared` file or block, after the header when it starts
+    with one, read by numpy's C parser; without a `dtype`, every field as a
+    string, one row per record.
 
     Each byte is read as one character, so string fields hold the UTF-8
     bytes of the text.  Under that reading numpy's integer reader takes no
@@ -378,18 +427,29 @@ def _loadtxt_table(raw: bytes, expected: list[str], what: str, dtype=None, ndmin
     """
     # A new StringDType per read: numpy 2.4 fails a read in a SystemError after one failed with it.
     dtype = np.dtypes.StringDType() if dtype is None else dtype
-    body_start = raw.find(b"\n") + 1 or len(raw)
-    if raw:  # an empty file has no header and no rows
+    body_start = raw.find(b"\n") + 1 or len(raw) if header else 0
+    if header and raw:  # an empty file has no header and no rows
         _check_header(next(csv.reader([raw[:body_start].decode("latin-1")]), None), expected, what)
     if _NON_BLANK.search(raw, body_start) is None:
         return np.empty((0, len(expected))[:ndmin], dtype=dtype)  # loadtxt would warn
     # Only a quoted field can hold a line break; it joins the lines it spans into
     # one row, so numpy reads fewer rows than non-empty lines, counted first here.
+    # At the end of the text numpy closes an open quote, keeping the LF in the
+    # field, so a last line that ends inside a quoted field, as one cut off by
+    # a block's end does, shows in that line read alone.
     lines = None
-    if b'"' in raw:  # from the header's LF on, an LF that follows another ends an empty line
-        ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8, offset=body_start - 1) == 10)
-        lines = np.count_nonzero(np.diff(ends) > 1) + (not raw.endswith(b"\n"))
-        del ends
+    if b'"' in raw:
+        ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8, offset=body_start) == 10)
+        ended = np.flatnonzero(np.diff(ends, prepend=-1) > 1)  # the LFs that end a non-empty line
+        lines = len(ended) + (not raw.endswith(b"\n"))
+        if raw.endswith(b"\n"):
+            last = ended[-1]
+            line = raw[body_start + (ends[last - 1] + 1 if last else 0):body_start + ends[last] + 1]
+            fields = np.loadtxt(io.BytesIO(line), delimiter=",", comments=None, quotechar='"',
+                                encoding="latin-1", dtype=np.dtypes.StringDType())
+            if any("\n" in field for field in fields.tolist()):
+                raise ValueError("a field holds a line break")
+        del ends, ended
     body = io.BytesIO(raw)
     body.seek(body_start)
     table = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
@@ -426,19 +486,21 @@ def _journal_columns(text: np.ndarray, lines=None, raw=None) -> tuple:
 
     A row with empty year and articles declares a journal without article
     data.  Given `raw`, the `_prepared` file of the table, numpy's integer
-    reader reads the years and articles when every row has them.  Raises a
-    CorpusError for the first row with an empty id, a name other than its
-    id's first, a number outside the integer grammar, or an article count or
-    year the Corpus rejects, naming its line when `lines` is given.
+    reader reads the other rows' years and articles; else `_text_integers`
+    does.  Raises a CorpusError for the first row with an empty id, a name
+    other than its id's first, a number outside the integer grammar, or an
+    article count or year the Corpus rejects, naming its line when `lines`
+    is given.
     """
     row_ids, row_names = text[:, 0], text[:, 1]
     data = (text[:, 2] != "") | (text[:, 3] != "")
+    rows = np.flatnonzero(data)
     broken = np.zeros(len(text), dtype=int)
-    if raw is not None and data.all():  # several times faster than _text_integers
-        numbers = _loadtxt_table(raw, JOURNALS_HEADER, "journals", np.int64, usecols=(2, 3))
+    if raw is None:
+        numbers, broken[rows] = _text_integers(text[rows, 2:])
     else:
-        numbers, broken = _text_integers(text[:, 2:])
-        broken[~data] = 0
+        numbers = _loadtxt_table(_rows_only(raw, data), JOURNALS_HEADER, "journals", np.int64,
+                                 usecols=(2, 3))
     ids, first, journal = np.unique(row_ids, return_index=True, return_inverse=True)
     names = row_names[first]
     hits = [_first_hit((
@@ -448,8 +510,8 @@ def _journal_columns(text: np.ndarray, lines=None, raw=None) -> tuple:
                    f"{names[journal[i]]!r} and {row_names[i]!r}"),
         *_numeric_hits(text, broken),
     ))]
-    rows = np.flatnonzero(data & (broken == 0))
-    year, count = numbers[rows, 0], numbers[rows, 1]
+    good = broken[rows] == 0
+    rows, year, count = rows[good], numbers[good, 0], numbers[good, 1]
     article = _article_problem(ids, journal[rows], year, count)
     if article is not None:
         hits.append((int(rows[article[0]]), article[1]))
@@ -457,6 +519,20 @@ def _journal_columns(text: np.ndarray, lines=None, raw=None) -> tuple:
     if problem is not None:
         raise CorpusError(problem[1], line=None if lines is None else lines[problem[0]])
     return ids, names, journal[rows], year, count
+
+
+def _rows_only(raw: bytes, keep: np.ndarray) -> bytes:
+    """A `_prepared` file without the lines of the rows `keep` leaves out, each
+    row being one non-empty line after the header, as `_loadtxt_table` reads it."""
+    if keep.all():
+        return raw
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    text = np.frombuffer(raw, dtype=np.uint8)
+    sizes = np.diff(np.flatnonzero(text == 10), prepend=-1)  # each line's bytes, its LF included
+    lines = np.ones(len(sizes), dtype=bool)
+    lines[1:][sizes[1:] > 1] = keep
+    return text[np.repeat(lines, sizes)].tobytes()
 
 
 def _loadtxt_journals(raw: bytes) -> tuple:
@@ -470,42 +546,30 @@ def _loadtxt_journals(raw: bytes) -> tuple:
 def _parse_journals(raw: bytes) -> tuple:
     """Journal rows are `id,name,year,articles`, one per (journal, year); a row
     with empty year and articles declares a journal with no article data.
-    A UTF-8 byte order mark is ignored."""
-    return _parsed(raw, JOURNALS_HEADER, "journals", _loadtxt_journals, _journal_columns)
+    A UTF-8 byte order mark is ignored.
 
-
-def _loadtxt_columns(raw: bytes, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """Citation columns of a `_prepared` citations.csv, read by numpy's C parser
-    with the ids as fixed-width bytes, quoted or not.
-
-    Raises ValueError, csv.Error or CorpusError for any file it cannot read.
-    `ids` hold no LF, as no id read from journals.csv does.
+    A file numpy's parser rejects is read again with the csv module to name
+    the line of its first bad row.
     """
-    keys = "\n".join(ids).encode("utf-8").split(b"\n") if ids else []
-    # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
-    width = max(map(len, keys), default=0) + 1
-    # Only where fixed-width id columns would outgrow the file, as one long id
-    # can make them, are the ids read as variable-width strings.
-    if 2 * width * (raw.count(b"\n") + 1) > len(raw):
-        text = _loadtxt_table(raw, CITATIONS_HEADER, "citations")
-        # The fields hold one character per byte, and so must the keys.
-        return _citation_columns([key.decode("latin-1") for key in keys], text)
-    dtype = [(name, f"S{width}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
-    table = _loadtxt_table(raw, CITATIONS_HEADER, "citations", dtype, ndmin=1)
-    keys = np.array(keys, dtype=f"S{width}")
-    # The positions first: their temporaries are freed before the numbers are copied.
-    positions = [journal_positions(keys, table[name]) for name in COLUMNS[:2]]
-    return (*positions, *(np.ascontiguousarray(table[name]) for name in COLUMNS[2:]))
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    file = io.BytesIO(raw)
+    if not raw.isascii():
+        _census(file)  # raises for a byte that is not UTF-8
+    try:
+        return _loadtxt_journals(_prepared(raw))
+    except (ValueError, csv.Error, CorpusError) as exc:  # its traceback is freed before the re-read
+        error = CorpusError(f"journals file could not be read: {exc}")
+    text, lines, bad = _reread(file, 0, 0, JOURNALS_HEADER, "journals")
+    _journal_columns(text, lines)
+    raise bad or error
 
 
-def _citation_columns(keys, text: np.ndarray, lines=None) -> tuple:
+def _citation_columns(keys, text: np.ndarray) -> tuple:
     """The Corpus citation columns (citing, cited, citing_year, cited_year,
     count) of citations.csv rows, given as a table of string fields, where
-    `keys` is the sorted journal ids.
-
-    Raises a CorpusError for the first row that names an unknown journal,
-    holds a number outside the integer grammar, or breaks a Corpus
-    invariant, naming its line when `lines` is given.
+    `keys` is the sorted journal ids, up to the first row that names an
+    unknown journal or holds a number outside the integer grammar; and that
+    row's (row, reason), or None.
     """
     # Object arrays, one id column at a time: numpy 2.4's searchsorted fails
     # on variable-width strings, and Python strings are large.
@@ -519,69 +583,153 @@ def _citation_columns(keys, text: np.ndarray, lines=None) -> tuple:
         *_numeric_hits(text, broken),
     ))
     end = len(text) if bad is None else bad[0]
-    # A record before the first bad row may break an invariant first.
-    columns = (citing[:end], cited[:end], *numbers[:end].T)
-    problem = _first_problem(len(keys), *columns) or bad
-    if problem is not None:
-        raise CorpusError(problem[1], line=None if lines is None else lines[problem[0]])
-    return columns
+    return (citing[:end], cited[:end], *numbers[:end].T), bad
 
 
-def _parse_citations(journals: tuple, raw: bytes) -> Corpus:
+def _citation_block(block: bytes, header: bool, keys, dtype) -> tuple:
+    """The citation columns of a `_prepared` block of citations.csv, read by
+    numpy's C parser.
+
+    Given a structured `dtype`, the ids are read as fixed-width bytes, quoted
+    or not, and found in the array `keys`; else every field is read as a
+    string, and the ids are found in the list `keys`, one character a byte.
+    Raises ValueError, csv.Error or CorpusError for a block it cannot read.
+    """
+    if dtype is None:
+        text = _loadtxt_table(block, CITATIONS_HEADER, "citations", header=header)
+        columns, bad = _citation_columns(keys, text)
+        if bad is not None:
+            raise CorpusError(bad[1])
+        return columns
+    table = _loadtxt_table(block, CITATIONS_HEADER, "citations", dtype, ndmin=1, header=header)
+    return (*(journal_positions(keys, table[name]) for name in COLUMNS[:2]),
+            *(table[name] for name in COLUMNS[2:]))
+
+
+def _parse_citations(journals: tuple, file: IO[bytes]) -> Corpus:
     """Citation rows are `citing,cited,citing_year,cited_year,count`; duplicate
     keys are merged by summing counts.  A UTF-8 byte order mark is ignored.
 
-    `journals` is the Corpus journal fields, ids first.
+    `journals` is the Corpus journal fields, ids first, and `file` the
+    binary citations file.  A first pass counts its line breaks, which bound
+    its rows; each of its `_blocks` is then read into five int64 columns of
+    that length, allocated up front, so a read holds the columns and one
+    block, not the whole file.  A file that cannot seek, such as a pipe, is
+    read into memory first.
     """
-    return _parsed(raw, CITATIONS_HEADER, "citations",
-                   lambda prepared: Corpus(*journals, *_loadtxt_columns(prepared, journals[0])),
-                   lambda text, lines: _citation_columns(journals[0], text, lines))
-
-
-def _parsed(raw: bytes, expected: list[str], what: str, read, check):
-    """`read` of the `_prepared` file, after any UTF-8 byte order mark.
-
-    A file `read` rejects is re-read with the csv module up to the first row
-    that is not `len(expected)` fields free of NUL, CR and LF, whose error is
-    raised unless `check(text, lines)` of the rows before it raises first.
-    """
-    raw = raw.removeprefix(codecs.BOM_UTF8)
-    try:
-        return read(_prepared(raw))
-    except (ValueError, csv.Error, CorpusError) as exc:  # its traceback is freed before the re-read
-        error = CorpusError(f"{what} file could not be read: {exc}")
-    try:
-        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
-        line = len(_LINE_BREAK.findall(raw, 0, exc.start)) + 1
-        raise CorpusError("not valid UTF-8", line=line) from None
-    _check_header(next(reader, None), expected, what)
-    rows, lines = [], []
-    try:
-        for row in filter(None, reader):  # skips blank lines
-            if len(row) != len(expected):
-                message = f"{what} row needs {len(expected)} fields, got {len(row)}"
-            elif _BREAKS.search("".join(row)):
-                message = f"{what} row holds a NUL, CR or LF inside a field"
-            else:
-                rows.append(row)
-                lines.append(reader.line_num)
-                continue
-            error = CorpusError(message, line=reader.line_num)
+    ids = journals[0]
+    if not file.seekable():
+        file = io.BytesIO(file.read())
+    file.seek(len(codecs.BOM_UTF8) if file.read(3) == codecs.BOM_UTF8 else 0)
+    starts, breaks = _census(file)
+    keys = "\n".join(ids).encode("utf-8").split(b"\n") if ids else []
+    # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
+    width = max(map(len, keys), default=0) + 1
+    dtype = [(name, f"S{width}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
+    # Only where fixed-width id columns would outgrow the file, as one long id
+    # can make them, are the ids read as variable-width strings.
+    if 2 * width * (breaks + 1) > starts[-1][0] - starts[0][0]:
+        # The fields hold one character per byte, and so must the keys.
+        keys, dtype = [key.decode("latin-1") for key in keys], None
+    else:
+        keys = np.array(keys, dtype=f"S{width}")
+    columns = [np.empty(breaks + 1, dtype=np.int64) for _ in COLUMNS]
+    rows = [0]  # the rows before each block read
+    file.seek(starts[0][0])
+    for (offset, _), (end, _) in zip(starts, starts[1:]):
+        try:
+            block = _citation_block(_prepared(file.read(end - offset)), len(rows) == 1, keys, dtype)
+            n = rows[-1]
+            for column, values in zip(columns, block):
+                column[n:n + len(values)] = values
+        except (ValueError, csv.Error, CorpusError) as exc:
+            # The message only: the traceback is freed before the re-read.
+            error = CorpusError(f"citations file could not be read: {exc}")
             break
-    except csv.Error as exc:
-        error = CorpusError(str(exc), line=reader.line_num)
-    text = np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected))
-    del rows, reader  # the rows and the file's text are freed before the check
-    check(text, lines)
-    raise error
+        rows.append(n + len(values))
+        del block, values  # freed before the next block is read
+    else:
+        for column in columns:
+            column.resize(rows[-1], refcheck=False)  # in place; nothing else refers to it
+        try:
+            return Corpus(*journals, *columns)
+        except CorpusError as exc:
+            error = exc
+    raise _citation_error(file, ids, starts, rows, columns, error)
+
+
+def _citation_error(file: IO[bytes], ids, starts, rows, columns, error) -> CorpusError:
+    """The CorpusError, naming its line, of the first bad row of a citations
+    file whose blocks before block k = len(rows) - 1 `_parse_citations` read
+    into `columns`, with rows[j] rows before block j.  Block k was rejected
+    with `error`, or, past the last block, the Corpus rejected the columns.
+
+    Only the block that holds the bad row is read again, with the csv
+    module.  Its first byte starts a row: a block read before it ends after
+    a line break outside any quoted field, as `_loadtxt_table` checks.
+    """
+    earlier = [column[:rows[-1]] for column in columns]
+    problem = _first_problem(len(ids), *earlier)
+    k = len(rows) - 1 if problem is None else bisect.bisect_right(rows, problem[0]) - 1
+    (offset, line), (_, end_line) = starts[k], starts[k + 1]
+    text, lines, bad = _reread(file, offset, line, CITATIONS_HEADER, "citations", k == 0,
+                               end_line - line)
+    if problem is None:
+        block, hit = _citation_columns(ids, text)
+        problem = _first_problem(len(ids), *block, total=int(earlier[4].sum())) or hit
+    else:
+        problem = (problem[0] - rows[k], problem[1])
+    return bad or error if problem is None else CorpusError(problem[1], line=lines[problem[0]])
+
+
+def _reread(file: IO[bytes], offset: int, line: int, expected: list[str], what: str,
+            header: bool = True, n_lines: float = math.inf) -> tuple:
+    """The rows of a UTF-8 file from byte `offset`, which starts its line
+    `line + 1`, read with the csv module as a table of string fields, the
+    line each ends on, and the CorpusError of the first row that is not
+    `len(expected)` fields free of NUL, CR and LF, or None.
+
+    The header is checked first when `header`.  The read stops at that row,
+    or after the first row that ends past the first `n_lines` lines.
+    """
+    file.seek(offset)
+    stream = io.TextIOWrapper(file, encoding="utf-8", newline="")
+    rows, lines, error = [], [], None
+    try:
+        reader = csv.reader(stream)
+        if header:
+            _check_header(next(reader, None), expected, what)
+        try:
+            for row in filter(None, reader):  # skips blank lines
+                if len(row) != len(expected):
+                    message = f"{what} row needs {len(expected)} fields, got {len(row)}"
+                elif _BREAKS.search("".join(row)):
+                    message = f"{what} row holds a NUL, CR or LF inside a field"
+                else:
+                    rows.append(row)
+                    lines.append(line + reader.line_num)
+                    if reader.line_num > n_lines:
+                        break
+                    continue
+                error = CorpusError(message, line=line + reader.line_num)
+                break
+        except csv.Error as exc:
+            error = CorpusError(str(exc), line=line + reader.line_num)
+    finally:
+        stream.detach()  # which leaves the file open
+    return np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected)), lines, error
 
 
 def load_corpus(journals_path, citations_path) -> Corpus:
+    """The Corpus of a journals.csv and a citations.csv file.
+
+    The citations file is read in blocks, so the memory a load takes follows
+    the merged columns, not the file.
+    """
     with open(journals_path, "rb") as jf:
         journals = _parse_journals(jf.read())
     with open(citations_path, "rb") as cf:
-        return _parse_citations(journals, cf.read())
+        return _parse_citations(journals, cf)
 
 
 def _csv_lines(rows: Iterable[tuple[str, ...]]) -> list[bytes]:

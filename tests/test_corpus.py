@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import tracemalloc
 from unittest import mock
 
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 import csv_reference
 from citerank import corpus as corpus_module
 from citerank.corpus import (
+    COLUMNS,
     CitationWindow,
     Corpus,
     _parse_citations,
     _parse_journals,
     dump_citations,
     dump_journals,
+    write_corpus,
 )
 from citerank.errors import CorpusError
 from citerank.syngen import GenSettings, generate
@@ -37,7 +40,7 @@ from conftest import (
 
 def parse_strings(journals_text, citations_text):
     journals = _parse_journals(journals_text.encode("utf-8"))
-    return _parse_citations(journals, citations_text.encode("utf-8"))
+    return _parse_citations(journals, io.BytesIO(citations_text.encode("utf-8")))
 
 
 def serialize(corpus):
@@ -248,17 +251,62 @@ JOURNAL_SETS = [(ids, ids, [], [], []) for ids in (SHORT_IDS, LONG_IDS)]
 @example(  # a quoted field that spans a blank line
     b"", b'citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n"a\n\nb",b,2006,2005,1\n',
     JOURNAL_SETS[0])
+@example(  # a quoted LF in the count field of a last row that the file ends inside
+    b"", b'citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\nb,a,2006,2005,"2\n',
+    JOURNAL_SETS[0])
 @settings(max_examples=500, deadline=None)
 def test_parser_matches_the_csv_reference(journals_raw, citations_raw, journals):
     """numpy's parser reads every valid file as the csv-module reference in
     tests/csv_reference.py does, and every invalid one ends in the same
     line-numbered error."""
+    assert_reads_as_the_reference(journals_raw, citations_raw, journals)
+
+
+def assert_reads_as_the_reference(journals_raw, citations_raw, journals):
     assert outcome(lambda: _parse_journals(journals_raw)) == outcome(
         lambda: csv_reference.journals(journals_raw))
     records = outcome(lambda: [csv_reference.citations(journals[0], citations_raw)])
     if records[0] != "error":
         records = [corpus_fields(Corpus(*journals, *(list(zip(*records[0])) or [[]] * 5)))]
-    assert outcome(lambda: [corpus_fields(_parse_citations(journals, citations_raw))]) == records
+    citations = io.BytesIO(citations_raw)
+    assert outcome(lambda: [corpus_fields(_parse_citations(journals, citations))]) == records
+
+
+HEADER_LF = b"citing,cited,citing_year,cited_year,count\n"
+
+
+@given(csv_file("id,name,year,articles", JOURNAL_FIELDS),
+       csv_file("citing,cited,citing_year,cited_year,count", CITATION_FIELDS),
+       st.sampled_from(JOURNAL_SETS), st.integers(1, 64))
+@example(  # the first chunk ends between the CR and LF of row 2, whose CRLF stays in one block
+    b"", b"citing,cited,citing_year,cited_year,count\r\na,b,2006,2005,1\r\nb,zz,2006,2005,1\r\n",
+    JOURNAL_SETS[0], 59)
+@example(  # a byte order mark, with the header alone in the first block
+    b"\xef\xbb\xbfid,name,year,articles\na,Alpha,2006,1\n",
+    b"\xef\xbb\xbf" + HEADER_LF + b"a,b,2006,2005,1\nb,a,2006,2005,x\n", JOURNAL_SETS[0], 8)
+@example(  # a quoted LF at a block's end
+    b"", HEADER_LF + b'a,b,2006,2005,1\nb,a,2006,2005,"2\n"\na,b,2006,2005,1\n', JOURNAL_SETS[0], 4)
+@example(  # an unknown id in a later block, before a malformed row
+    b"", HEADER_LF + b"a,b,2006,2005,1\nb,a,2006,2005,1\nzz,a,2006,2005,1\na,b,2006,x,1\n",
+    JOURNAL_SETS[0], 20)
+@example(  # a row one field short in a later block
+    b"", HEADER_LF + b"a,b,2006,2005,1\nb,a,2006,2005,1\na,b,2006,2005\n", JOURNAL_SETS[0], 20)
+@example(  # a running total past 2**53 only across blocks, read to the end
+    b"", HEADER_LF + b"a,b,2006,2005,9007199254740000\nb,a,2006,2005,992\na,b,2006,2005,1\n",
+    JOURNAL_SETS[0], 8)
+@example(  # the same, then a malformed row in a later block
+    b"", HEADER_LF + b"a,b,2006,2005,9007199254740000\nb,a,2006,2005,992\na,b,2006,2005,1\n"
+    b"a,b,x,2005,1\n", JOURNAL_SETS[0], 8)
+@example(  # a running total past 2**53 in the block of a malformed row, from an earlier block's
+    b"", HEADER_LF + b"a,b,2006,2005,9007199254740000\nb,a,2006,2005,993\na,b,2006,2005,x\n",
+    JOURNAL_SETS[0], 18)
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_the_csv_reference_in_small_blocks(journals_raw, citations_raw, journals,
+                                                          chunk_bytes):
+    """Read in blocks of a few bytes, so that every drawn file spans many, the
+    parser still reads each file as the reference does."""
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
+        assert_reads_as_the_reference(journals_raw, citations_raw, journals)
 
 
 def test_a_long_journal_id_does_not_multiply_the_parse_memory():
@@ -295,35 +343,104 @@ def test_an_all_quoted_citations_file_is_read_with_fixed_width_ids():
     assert peak < 6 * len(citations)
 
 
+def traced_peak(read):
+    """What `read()` returns, and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return read(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def generated_files(tmp_path_factory):
+    """A generated corpus of about 58k records, and its journals.csv and
+    citations.csv, whose 1.6 MB span 25 blocks of 64 KiB."""
+    corpus = generate(GenSettings(n_journals=1000, years=(2002, 2006), skew_exponent=0.6,
+                                  mean_out_citations=100, seed=5))
+    path = tmp_path_factory.mktemp("generated")
+    write_corpus(corpus, path / "journals.csv", path / "citations.csv")
+    return corpus, path
+
+
+def test_a_citations_file_is_read_block_by_block_into_its_columns(generated_files):
+    """A read holds the five int64 columns and a block: not the whole file, nor
+    a table of all its rows."""
+    corpus, path = generated_files
+    journals = _parse_journals((path / "journals.csv").read_bytes())
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**16), \
+            open(path / "citations.csv", "rb") as citations:
+        loaded, peak = traced_peak(lambda: _parse_citations(journals, citations))
+    assert same_corpus(loaded, corpus)
+    assert peak < 1.5 * len(COLUMNS) * 8 * corpus.n_records
+
+
+def test_a_bad_last_row_costs_less_than_twice_the_read(generated_files):
+    """Only the block of a bad row is read again with the csv module."""
+    corpus, path = generated_files
+    journals = _parse_journals((path / "journals.csv").read_bytes())
+    good = (path / "citations.csv").read_bytes()
+    bad = good + f"{corpus.ids[0]},{corpus.ids[1]},2006,2005,x\n".encode()
+    peaks = []
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**16):
+        for raw in (good, bad):
+            result, peak = traced_peak(lambda: outcome(lambda: [_parse_citations(
+                journals, io.BytesIO(raw))]))
+            peaks.append(peak)
+    assert result[:2] == ("error", bad.count(b"\n"))
+    assert "malformed" in result[2]
+    assert peaks[1] < 2 * peaks[0]
+
+
+def test_a_citations_file_that_cannot_seek_is_read():
+    """A pipe is read whole before the reader's two passes."""
+    journals = _parse_journals(JOURNALS_3.encode("utf-8"))
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"\xef\xbb\xbfciting,cited,citing_year,cited_year,count\na,b,2006,2005,2\n")
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        assert citation_dict(_parse_citations(journals, pipe)) == {("a", "b", 2006, 2005): 2}
+
+
+def test_journal_numbers_beside_a_bare_row_are_read_by_numpy():
+    """A row with empty year and articles is cut from the text numpy's integer
+    reader reads, which then reads every other row's numbers."""
+    raw = b"id,name,year,articles\na,Alpha,2005,10\nx,No Data,,\n\nb,Beta, 2006 ,+5"
+    with mock.patch.object(corpus_module, "_text_integers", side_effect=AssertionError):
+        ids, names, journal, year, count = _parse_journals(raw)
+    assert (ids, names) == (("a", "b", "x"), ("Alpha", "Beta", "No Data"))
+    assert (journal.tolist(), year.tolist(), count.tolist()) == ([0, 1], [2005, 2006], [10, 5])
+
+
 # ---------------------------------------------------------------------------
 # parse errors carry line numbers
 
 
-@pytest.mark.parametrize(
-    "journals_text, line, fragment",
-    [
-        ("id,name,year\n", 1, "header"),
-        ("id,name,year,articles\na,Alpha,2006\n", 2, "4 fields"),
-        ("id,name,year,articles\n,Anon,2006,1\n", 2, "empty journal id"),
-        ("id,name,year,articles\na,Alpha,2006,1\na,Alias,2005,2\n", 3, "conflicting names"),
-        ("id,name,year,articles\na,Alpha,2006,1\na,Alpha,2006,2\n", 3, "duplicate journal id"),
-        ("id,name,year,articles\na,Alpha,two-thousand,1\n", 2, "malformed"),
-        # journals.csv reads year and articles with the citations grammar
-        ("id,name,year,articles\na,Alpha,2_005,1\n", 2, "malformed"),
-        ("id,name,year,articles\na,Alpha,2005,1_0\n", 2, "malformed"),
-        ("id,name,year,articles\na,Alpha,\u0662\u0660\u0660\u0665,1\n", 2, "malformed"),
-        ("id,name,year,articles\na,Alpha,2005,1.0\n", 2, "malformed"),
-        ("id,name,year,articles\na,Alpha,9223372036854775808,1\n", 2, "int64 range"),
-        ("id,name,year,articles\na,Alpha,2006,-1\n", 2, "negative article count"),
-        ("id,name,year,articles\na,Alpha,2006,9007199254740993\n", 2, "above 2**53"),
-        # a row with a malformed number still has its name checked
-        ("id,name,year,articles\na,Alpha,2006,1\na,Alias,x,2\n", 3, "conflicting names"),
-        ("id,name,year,articles\na,Alpha,2006,1,7\n", 2, "4 fields, got 5"),
-        ('id,name,year,articles\n"a\nb",Alpha,2006,1\n', 3, "NUL, CR or LF"),
-        ("id,name,year,articles\na,Alpha,\u00a02006,1\n", 2, "malformed"),
-        ("id,name,year,articles\na,Alpha,2006,1\u0085\n", 2, "malformed"),
-    ],
-)
+JOURNAL_ERRORS = [
+    ("id,name,year\n", 1, "header"),
+    ("id,name,year,articles\na,Alpha,2006\n", 2, "4 fields"),
+    ("id,name,year,articles\n,Anon,2006,1\n", 2, "empty journal id"),
+    ("id,name,year,articles\na,Alpha,2006,1\na,Alias,2005,2\n", 3, "conflicting names"),
+    ("id,name,year,articles\na,Alpha,2006,1\na,Alpha,2006,2\n", 3, "duplicate journal id"),
+    ("id,name,year,articles\na,Alpha,two-thousand,1\n", 2, "malformed"),
+    # journals.csv reads year and articles with the citations grammar
+    ("id,name,year,articles\na,Alpha,2_005,1\n", 2, "malformed"),
+    ("id,name,year,articles\na,Alpha,2005,1_0\n", 2, "malformed"),
+    ("id,name,year,articles\na,Alpha,\u0662\u0660\u0660\u0665,1\n", 2, "malformed"),
+    ("id,name,year,articles\na,Alpha,2005,1.0\n", 2, "malformed"),
+    ("id,name,year,articles\na,Alpha,9223372036854775808,1\n", 2, "int64 range"),
+    ("id,name,year,articles\na,Alpha,2006,-1\n", 2, "negative article count"),
+    ("id,name,year,articles\na,Alpha,2006,9007199254740993\n", 2, "above 2**53"),
+    # a row with a malformed number still has its name checked
+    ("id,name,year,articles\na,Alpha,2006,1\na,Alias,x,2\n", 3, "conflicting names"),
+    ("id,name,year,articles\na,Alpha,2006,1,7\n", 2, "4 fields, got 5"),
+    ('id,name,year,articles\n"a\nb",Alpha,2006,1\n', 3, "NUL, CR or LF"),
+    ("id,name,year,articles\na,Alpha,\u00a02006,1\n", 2, "malformed"),
+    ("id,name,year,articles\na,Alpha,2006,1\u0085\n", 2, "malformed"),
+]
+
+
+@pytest.mark.parametrize("journals_text, line, fragment", JOURNAL_ERRORS)
 def test_parse_journal_errors(journals_text, line, fragment):
     with pytest.raises(CorpusError) as exc:
         parse_strings(journals_text, "")
@@ -331,58 +448,58 @@ def test_parse_journal_errors(journals_text, line, fragment):
     assert fragment in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "citations_text, line, fragment",
-    [
-        ("citing,cited,citing_year,count\n", 1, "header"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005\n", 2, "5 fields"),
-        ("citing,cited,citing_year,cited_year,count\nzz,b,2006,2005,1\n", 2, "unknown journal id"),
-        ("citing,cited,citing_year,cited_year,count\na,zz,2006,2005,1\n", 2, "unknown journal id"),
-        ("citing,cited,citing_year,cited_year,count\naa,b,2006,2005,1\n", 2, "unknown journal id 'aa'"),
-        # NUL, CR and LF are never part of a field
-        ("citing,cited,citing_year,cited_year,count\na\x00,b,2006,2005,1\n", 2, "NUL, CR or LF"),
-        # a row that spans lines is reported at the line it ends on
-        ('citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n"x\ry",b,2006,2005,1\n',
-         4, "NUL, CR or LF"),
-        ('citing,cited,citing_year,cited_year,count\na,b,2006,"2005\n",1\n', 3, "NUL, CR or LF"),
-        # the blanks around a number are ASCII, or \x1c to \x1f
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u00a05\n", 2, "malformed"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005\u0085,1\n", 2, "malformed"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,0\n", 2, "count must be >= 1"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2005,2006,1\n", 2, "after citing_year"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,many\n", 2, "malformed"),
-        (
-            "citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n#alpha,b,2006,2005,1\n",
-            3,
-            "unknown journal id '#alpha'",
-        ),
-        (
-            "citing,cited,citing_year,cited_year,count\n\na,b,2006,2005,1\n\na,b,2006,2005,x\n",
-            5,
-            "malformed",
-        ),
-        # int() accepts these; the grammar is ASCII digits only.
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,1_000\n", 2, "malformed"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u0661\u0662\n", 2, "malformed"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u01fe5\n", 2, "malformed"),
-        # counts are bounded so that every total stays exact in a float64
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,9223372036854775808\n",
-         2, "int64 range"),
-        ("citing,cited,citing_year,cited_year,count\na,b,9223372036854775808,2005,1\n",
-         2, "int64 range"),
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,9007199254740993\n",
-         2, "<= 2**53"),
-        (
-            "citing,cited,citing_year,cited_year,count\n"
-            "a,b,2006,2005,9007199254740000\na,c,2006,2005,992\na,b,2006,2005,1\n",
-            4,
-            "passes 2**53",
-        ),
-        # a bad record before a malformed row is the one reported
-        ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,0\na,b,2006,2005,x\n",
-         2, "count must be >= 1"),
-    ],
-)
+CITATION_ERRORS = [
+    ("citing,cited,citing_year,count\n", 1, "header"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005\n", 2, "5 fields"),
+    ("citing,cited,citing_year,cited_year,count\nzz,b,2006,2005,1\n", 2, "unknown journal id"),
+    ("citing,cited,citing_year,cited_year,count\na,zz,2006,2005,1\n", 2, "unknown journal id"),
+    ("citing,cited,citing_year,cited_year,count\naa,b,2006,2005,1\n", 2, "unknown journal id 'aa'"),
+    # NUL, CR and LF are never part of a field
+    ("citing,cited,citing_year,cited_year,count\na\x00,b,2006,2005,1\n", 2, "NUL, CR or LF"),
+    # a row that spans lines is reported at the line it ends on
+    ('citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n"x\ry",b,2006,2005,1\n',
+     4, "NUL, CR or LF"),
+    ('citing,cited,citing_year,cited_year,count\na,b,2006,"2005\n",1\n', 3, "NUL, CR or LF"),
+    # the blanks around a number are ASCII, or \x1c to \x1f
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u00a05\n", 2, "malformed"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005\u0085,1\n", 2, "malformed"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,0\n", 2, "count must be >= 1"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2005,2006,1\n", 2, "after citing_year"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,many\n", 2, "malformed"),
+    (
+        "citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n#alpha,b,2006,2005,1\n",
+        3,
+        "unknown journal id '#alpha'",
+    ),
+    (
+        "citing,cited,citing_year,cited_year,count\n\na,b,2006,2005,1\n\na,b,2006,2005,x\n",
+        5,
+        "malformed",
+    ),
+    # int() accepts these; the grammar is ASCII digits only.
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,1_000\n", 2, "malformed"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u0661\u0662\n", 2, "malformed"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,\u01fe5\n", 2, "malformed"),
+    # counts are bounded so that every total stays exact in a float64
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,9223372036854775808\n",
+     2, "int64 range"),
+    ("citing,cited,citing_year,cited_year,count\na,b,9223372036854775808,2005,1\n",
+     2, "int64 range"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,9007199254740993\n",
+     2, "<= 2**53"),
+    (
+        "citing,cited,citing_year,cited_year,count\n"
+        "a,b,2006,2005,9007199254740000\na,c,2006,2005,992\na,b,2006,2005,1\n",
+        4,
+        "passes 2**53",
+    ),
+    # a bad record before a malformed row is the one reported
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,0\na,b,2006,2005,x\n",
+     2, "count must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("citations_text, line, fragment", CITATION_ERRORS)
 def test_parse_citation_errors(citations_text, line, fragment):
     with pytest.raises(CorpusError) as exc:
         parse_strings(JOURNALS_3, citations_text)
@@ -390,10 +507,38 @@ def test_parse_citation_errors(citations_text, line, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 64])
+@pytest.mark.parametrize("journals_text, line, fragment", JOURNAL_ERRORS)
+def test_parse_journal_errors_in_small_blocks(journals_text, line, fragment, chunk_bytes):
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
+        test_parse_journal_errors(journals_text, line, fragment)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 64])
+@pytest.mark.parametrize("citations_text, line, fragment", CITATION_ERRORS)
+def test_parse_citation_errors_in_small_blocks(citations_text, line, fragment, chunk_bytes):
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
+        test_parse_citation_errors(citations_text, line, fragment)
+
+
 def test_invalid_utf8_is_an_error_naming_its_line():
     journals = _parse_journals(JOURNALS_3.encode("utf-8"))
     with pytest.raises(CorpusError, match="^line 3: not valid UTF-8"):
-        _parse_citations(journals, b"citing,cited,citing_year,cited_year,count\r\n\r\n\xff,b\n")
+        _parse_citations(journals, io.BytesIO(
+            b"citing,cited,citing_year,cited_year,count\r\n\r\n\xff,b\n"))
+
+
+@pytest.mark.parametrize("body, line", [
+    (b"\r\na,b,2006,2005,1\r\n\xff,b\n", 4),
+    # before any row is read: a malformed row in an earlier block is not the error
+    (b"a,b,2006,2005,x\na,b,2006,2005,1\n\xe9\n", 4),
+])
+def test_invalid_utf8_in_a_later_block_names_its_line(body, line):
+    journals = _parse_journals(JOURNALS_3.encode("utf-8"))
+    citations = io.BytesIO(b"citing,cited,citing_year,cited_year,count\r\n" + body)
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 4):
+        with pytest.raises(CorpusError, match=f"^line {line}: not valid UTF-8"):
+            _parse_citations(journals, citations)
 
 
 def test_parse_error_message_prefixes_line_number():
