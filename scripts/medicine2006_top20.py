@@ -9,7 +9,7 @@ import argparse
 import itertools
 from pathlib import Path
 
-from citerank.cli import load_metric_file
+from citerank.cli import load_metric_file, run_reporting_errors
 from citerank.compare import compare_metrics, concentration, rank
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -20,15 +20,10 @@ FILES = {
 }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="rank table and correlations for the bundled 2006 medicine top 20"
-    )
-    parser.add_argument("--data-dir", type=Path, default=DATA_DIR)
-    args = parser.parse_args(argv)
-
+def show(data_dir):
+    """Print the rank table, correlations and concentration of the files in `data_dir`."""
     vectors = {
-        name: load_metric_file(args.data_dir / filename)
+        name: load_metric_file(data_dir / filename)
         for name, filename in FILES.items()
     }
     tables = {name: rank(vector, "min") for name, vector in vectors.items()}
@@ -54,7 +49,17 @@ def main(argv=None):
     print()
     for k, share in concentration(vectors["total_citations"], (1, 5, 10)):
         print(f"top {k:>2} of these 20 hold {share:.1%} of their citations")
+    return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="rank table and correlations for the bundled 2006 medicine top 20"
+    )
+    parser.add_argument("--data-dir", type=Path, default=DATA_DIR)
+    args = parser.parse_args(argv)
+    return run_reporting_errors(parser.prog, show, args.data_dir)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -162,9 +162,9 @@ def resolve(method: str, args) -> tuple[CitationWindow, EigenSettings]:
     return window, settings
 
 
-def compute_metric(corpus: Corpus, method: str, args) -> MetricVector:
-    """The one place a metric is scored."""
-    window, settings = resolve(method, args)
+def compute_metric(corpus: Corpus, method: str, window: CitationWindow,
+                   settings: EigenSettings) -> MetricVector:
+    """The one place a metric is scored, with what `resolve` gives it."""
     if method == "eigenfactor":
         return eigen_scores(*build_matrix(corpus, window), settings)
     if method == "citations":
@@ -217,7 +217,7 @@ def write_ranked(vector: MetricVector, table: RankTable, precision: int, out: Pa
 
 def cmd_rank(args) -> int:
     corpus = load_corpus(args.journals, args.citations)
-    vector = compute_metric(corpus, args.method, args)
+    vector = compute_metric(corpus, args.method, *resolve(args.method, args))
     table = rank(vector, args.tie_policy)
     out = _out_dir(args)  # only once nothing is left to fail
     write_ranked(vector, table, args.precision, out)
@@ -287,20 +287,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    settings = GenSettings(args.journals, args.years, args.skew, args.mean_out, args.seed)
-    corpus = generate(settings)
+    corpus = generate(args.gen_settings)
     out = _out_dir(args)
     write_corpus(corpus, out / "journals.csv", out / "citations.csv")
     print(
         f"generated {corpus.n_journals} journals, "
-        f"{corpus.n_records} citation records (seed {settings.seed})"
+        f"{corpus.n_records} citation records (seed {args.gen_settings.seed})"
     )
     return 0
 
 
 def cmd_report(args) -> int:
     corpus = load_corpus(args.journals, args.citations)
-    vectors = [compute_metric(corpus, method, args) for method in METHODS]
+    resolved = {method: resolve(method, args) for method in METHODS}
+    vectors = [compute_metric(corpus, method, *resolved[method]) for method in METHODS]
     reports, stats = compare_all(vectors, args.ks, args.coverage)
     out = _out_dir(args)  # only once nothing is left to fail
     # The stats and pair files first: each is freed before the rank tables are made.
@@ -310,7 +310,7 @@ def cmd_report(args) -> int:
                                                             args.precision, out),
                                               stats_files[v.metric_name]]} for v in vectors}
 
-    window, settings = resolve("eigenfactor", args)
+    window, settings = resolved["eigenfactor"]
     bundle = {
         "metadata": {
             "tool": "citerank",
@@ -322,7 +322,7 @@ def cmd_report(args) -> int:
                 "ks": args.ks,
                 "coverage": args.coverage,
             },
-            "windows": {v.metric_name: resolve(method, args)[0].describe()
+            "windows": {v.metric_name: resolved[method][0].describe()
                         for method, v in zip(METHODS, vectors)},
             "omissions": {"impact_factor_zero_denominator": _unscored(corpus, vectors[2])},
         },
@@ -367,10 +367,14 @@ def _integer(low: int | None = None, high: int | None = None):
 # Census years and spans within 2**62 keep the window's first year inside int64.
 _YEAR_BOUND = 2**62
 _year = _integer(-_YEAR_BOUND, _YEAR_BOUND)
-# gen's size bounds.  Its tables hold one article count per journal and year,
-# and about --mean-out citation events per journal.
-_GEN_JOURNALS = 10**6
-_GEN_ROWS = 10**7
+# The least value of each field a size cap multiplies, so that a gen flag's check
+# rejects only what no value of the other flags could make legal.
+_LEAST_GEN = GenSettings(1, (0, 0), mean_out_citations=5e-324)
+
+
+def _gen_field(name: str, parse):
+    """argparse type: a value for GenSettings' field `name`, checked there."""
+    return _checked(parse, lambda value: replace(_LEAST_GEN, **{name: value}))
 
 
 def _years(text: str) -> tuple[int, int]:
@@ -460,16 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd.set_defaults(func=cmd_compare)
 
     gen = commands.add_parser("gen", help="generate a seeded synthetic corpus")
-    valid = GenSettings(1, (2002, 2006))  # GenSettings checks each flag's value in its field
-    gen.add_argument("--journals", required=True, help="number of journals", type=_checked(
-        _integer(high=_GEN_JOURNALS), lambda v: replace(valid, n_journals=v)))
-    gen.add_argument("--years", type=_checked(_years, lambda v: replace(valid, years=v)),
-                     default="2002:2006", help="inclusive year range A:B")
-    gen.add_argument("--skew", type=_checked(float, lambda v: replace(valid, skew_exponent=v)),
-                     default=1.0, help="attractiveness tail exponent")
-    gen.add_argument("--mean-out", default=20.0, help="mean outgoing citation events per journal",
-                     type=_checked(float, lambda v: replace(valid, mean_out_citations=v)))
-    gen.add_argument("--seed", type=_checked(int, lambda v: replace(valid, seed=v)), default=0)
+    gen.add_argument("--journals", required=True, help="number of journals",
+                     type=_gen_field("n_journals", int))
+    gen.add_argument("--years", type=_gen_field("years", _years), default="2002:2006",
+                     help="inclusive year range A:B")
+    gen.add_argument("--skew", type=_gen_field("skew_exponent", float), default=1.0,
+                     help="attractiveness tail exponent")
+    gen.add_argument("--mean-out", type=_gen_field("mean_out_citations", float), default=20.0,
+                     help="mean outgoing citation events per journal")
+    gen.add_argument("--seed", type=_gen_field("seed", int), default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 
@@ -503,11 +506,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if method == "impact-factor" and args.census_year is None:
             parser.error("--method impact-factor needs --census-year")
         if args.command == "gen":
-            first, last = args.years
-            for rows, what in ((args.journals * (last - first + 1), "the years in --years"),
-                               (args.journals * args.mean_out, "--mean-out")):
-                if rows > _GEN_ROWS:
-                    parser.error(f"--journals times {what} must be at most {_GEN_ROWS}")
+            try:
+                args.gen_settings = GenSettings(args.journals, args.years, args.skew,
+                                                args.mean_out, args.seed)
+            except ValueError as exc:
+                parser.error(str(exc))
         ignored = [_option(dest, args) for dest in TUNING_FLAGS if method
                    and dest not in METRIC_FLAGS[method].reads and getattr(args, dest) is not None]
         if ignored:
@@ -515,10 +518,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2
+    return run_reporting_errors("citerank", args.func, args)
+
+
+def run_reporting_errors(prog: str, run, *args) -> int:
+    """`run(*args)`'s exit status, or 1 with one `prog: error:` line on stderr
+    when it fails on its inputs."""
     try:
-        return args.func(args)
+        return run(*args)
     except (CiteRankError, ValueError, OSError) as exc:
-        print(f"citerank: error: {exc}", file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 1
 
 

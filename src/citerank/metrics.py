@@ -88,6 +88,8 @@ def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
     vector and listed in the provenance string; a zero numerator over a
     positive denominator scores 0.0.
     """
+    if census_year is None:
+        raise MetricError("impact factor needs a census year, got None")
     span = corpus.year_range()
     if span is None:
         raise MetricError("corpus carries no year data; cannot place a census year")

@@ -40,6 +40,15 @@ class GenSettings:
         for name in ("skew_exponent", "mean_out_citations"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # Size caps: the tables hold one article count per journal and year,
+        # and about mean_out_citations citation events per journal.
+        n = self.n_journals
+        for what, size, cap in (("n_journals", n, 10**6),
+                                ("n_journals times the years", n * (last - first + 1), 10**7),
+                                ("n_journals times mean_out_citations",
+                                 n * self.mean_out_citations, 10**7)):
+            if size > cap:
+                raise ValueError(f"{what} must be <= {cap}, got {size}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
@@ -77,24 +86,17 @@ def generate(settings: GenSettings) -> Corpus:
     citing_year = rng.integers(first, last + 1, size=total)
     cited_year = rng.integers(first, citing_year + 1)
 
-    # Journal i sits at its id's place in sorted order; past J999999 the
-    # wider ids sort out of index order.
-    ids = np.array([f"J{i:06d}" for i in range(n)], dtype=object)
-    names = np.array([f"Journal {i:06d}" for i in range(n)], dtype=object)
-    order = np.argsort(ids, kind="stable")
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-
     # One article row per (journal, year) and one event per record row; the
     # Corpus sorts the article rows and merges events that share a key.
+    # Journal i's id, J000000 to J999999, sorts at index i.
     return Corpus(
-        tuple(ids[order].tolist()),
-        tuple(names[order].tolist()),
-        np.repeat(position, n_years),
+        tuple(f"J{i:06d}" for i in range(n)),
+        tuple(f"Journal {i:06d}" for i in range(n)),
+        np.repeat(np.arange(n), n_years),
         np.tile(np.arange(first, last + 1), n),
         articles.ravel(),
-        position[citing_idx],
-        position[cited_idx],
+        citing_idx,
+        cited_idx,
         citing_year,
         cited_year,
         np.ones(total, dtype=np.int64),

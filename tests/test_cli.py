@@ -16,15 +16,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from citerank import compare
+from citerank import cli, compare
 from citerank.cli import _json_text, load_metric_file, main, write_metric_file
 from citerank.compare import check_coverage, check_k, concentration, rank, rank_gaps
 from citerank.corpus import CitationWindow, load_corpus
 from citerank.eigenrank import EigenSettings, build_matrix
 from citerank.errors import CiteRankError
 from citerank.metrics import MetricVector
-from citerank.syngen import GenSettings
-from conftest import same_corpus
+from citerank.syngen import GenSettings, generate
+from conftest import SCRIPTS_DIR, same_corpus
 from dense_oracle import dense_oracle_scores
 
 
@@ -453,10 +453,13 @@ def test_gen_rejects_bad_year_syntax(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, fragment", [
     (["--journals", "10", "--years", "2006:1000000000"],
-     "--journals times the years in --years must be at most 10000000"),
-    (["--journals", "1000000", "--years", "2000:2010"], "must be at most 10000000"),
-    (["--journals", "10", "--mean-out", "1e15"], "--journals times --mean-out must be at most"),
-    (["--journals", "1000001"], "--journals: must be <= 1000000"),
+     "--years: n_journals times the years must be <= 10000000"),
+    (["--journals", "1000000", "--years", "2000:2010"], "must be <= 10000000"),
+    (["--journals", "1000000", "--mean-out", "11"],
+     "n_journals times mean_out_citations must be <= 10000000"),
+    (["--journals", "10", "--mean-out", "1e15"],
+     "--mean-out: n_journals times mean_out_citations must be <="),
+    (["--journals", "1000001"], "--journals: n_journals must be <= 1000000"),
     (["--journals", "5", "--years", "2006:2002"], "--years: years must not end before they start"),
     (["--journals", "5", "--years", f"2006:{2**62 + 1}"], "--years: must look like 2002:2006"),
 ])
@@ -473,6 +476,16 @@ def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, frag
     assert fragment in capsys.readouterr().err
     assert peak < 2**20
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("journals, mean_out", [(10**6, 5.0), (1, 1e7)])
+def test_gen_flags_take_any_legal_combination(tmp_path, journals, mean_out, monkeypatch):
+    seen = []
+    monkeypatch.setattr("citerank.cli.generate",
+                        lambda settings: seen.append(settings) or generate(GenSettings(1, (0, 0))))
+    assert run_cli("gen", "--journals", journals, "--mean-out", mean_out,
+                   "--out", tmp_path / "o") == 0
+    assert seen == [GenSettings(journals, (2002, 2006), mean_out_citations=mean_out)]
 
 
 @pytest.mark.parametrize("command, code, fragment", [
@@ -511,8 +524,8 @@ def _year_range(text):
 
 # Each settings rule: the flag that sets it, how its text parses, values the
 # command line rejects for breaking the rule, and the rule's library home.
-# The command line's size bounds (gen's journal and row caps, years within
-# 2**62) are its own and have no library home.
+# The command line's own bounds (--precision, --top, years within 2**62)
+# have no library home: it is their only caller.
 SETTINGS_RULES = {
     "coverage": ("report", "--coverage", float, ["0", "1", "-0.5", "nan", "inf"], check_coverage),
     "ks": ("report", "--ks", int, ["0", "-5"], check_k),
@@ -526,7 +539,7 @@ SETTINGS_RULES = {
                  lambda value: EigenSettings(max_iterations=value)),
     "window_span": ("report", "--window-span", int, ["0", "-3"],
                     lambda value: CitationWindow(2006, span=value)),
-    "journals": ("gen", "--journals", int, ["0", "-1"],
+    "journals": ("gen", "--journals", int, ["0", "-1", "1000001"],
                  lambda value: GenSettings(value, (2002, 2006))),
     "years": ("gen", "--years", _year_range, ["2006:2002", "1:0"],
               lambda value: GenSettings(5, value)),
@@ -675,6 +688,16 @@ def test_report_pairs_each_metric_pair_once(tmp_path, toy_paths, monkeypatch):
         ("eigenfactor", "impact_factor"),
         ("total_citations", "impact_factor"),
     ]
+
+
+def test_report_resolves_each_metrics_settings_once(tmp_path, toy_paths, monkeypatch):
+    methods = []
+    resolve = cli.resolve
+    monkeypatch.setattr(cli, "resolve", lambda method, args: methods.append(method)
+                        or resolve(method, args))
+    assert run_cli("report", *corpus_args(toy_paths), "--census-year", "2006",
+                   "--out", tmp_path / "r") == 0
+    assert methods == list(cli.METHODS)
 
 
 def test_report_that_fails_leaves_no_out(tmp_path, capsys):
@@ -895,6 +918,23 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("citerank ")
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("skew_sweep.py", ["--n-journals", "2", "--seeds", "1", "--exponents", "1"],
+     "spearman needs >= 3 common journals, got 2"),
+    ("skew_sweep.py", ["--n-journals", "3", "--mean-out", "0.01", "--seeds", "1",
+                       "--exponents", "1"], "zero variance in ranks"),
+    ("medicine2006_top20.py", ["--data-dir", str(SCRIPTS_DIR / "missing")],
+     "No such file or directory"),
+])
+def test_a_script_that_fails_on_its_input_prints_one_error_line(script, argv, message):
+    result = subprocess.run([sys.executable, str(SCRIPTS_DIR / script), *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"{script}: error: ") and message in line
 
 
 def test_no_command_imports_scipy(tmp_path):

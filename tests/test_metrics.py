@@ -179,6 +179,11 @@ def test_impact_factor_census_year_must_be_in_range(toy_corpus):
         impact_factor(toy_corpus, 2015)
 
 
+def test_impact_factor_needs_a_census_year(toy_corpus):
+    with pytest.raises(MetricError, match="impact factor needs a census year"):
+        impact_factor(toy_corpus, None)
+
+
 def test_impact_factor_requires_year_data():
     corpus = build_corpus([("A", {})], [])
     with pytest.raises(MetricError, match="no year data"):

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,11 +88,19 @@ def test_journal_count_scales():
         {"n_journals": 5, "years": (2004, 2006), "skew_exponent": 0.0},
         {"n_journals": 5, "years": (2004, 2006), "skew_exponent": -1.0},
         {"n_journals": 5, "years": (2004, 2006), "mean_out_citations": 0.0},
+        {"n_journals": 10**6 + 1, "years": (2006, 2006), "mean_out_citations": 1.0},
+        {"n_journals": 2, "years": (0, 5 * 10**6), "mean_out_citations": 1.0},
+        {"n_journals": 10**6, "years": (2006, 2006), "mean_out_citations": 10.5},
     ],
 )
 def test_settings_validation(kwargs):
     with pytest.raises(ValueError):
         GenSettings(**kwargs)
+
+
+def test_the_size_caps_admit_their_bounds():
+    GenSettings(10**6, (2006, 2006), mean_out_citations=10.0)
+    GenSettings(1, (1, 10**7), mean_out_citations=1e7)
 
 
 @pytest.mark.parametrize("seed, fragment", [
@@ -157,6 +166,28 @@ def test_skew_sweep_bad_values_are_usage_errors(argv, fragment, capsys):
         load_script("skew_sweep.py").main(argv)
     assert exit_info.value.code == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--n-journals", "1000001"], "argument --n-journals: n_journals must be <= 1000000"),
+    (["--n-journals", "1", "--years", "0:1099511627776", "--seeds", "1", "--exponents", "1"],
+     "argument --years: n_journals times the years must be <= 10000000"),
+    (["--n-journals", "1000000"], "n_journals times mean_out_citations must be <= 10000000"),
+])
+def test_skew_sweep_size_caps_are_usage_errors_before_any_allocation(argv, fragment, capsys):
+    sweep = load_script("skew_sweep.py")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            sweep.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert fragment in err
+    assert peak < 2**20
 
 
 def test_skew_sweep_takes_one_year(capsys):
