@@ -37,7 +37,7 @@ _BREAKS = re.compile("[\0\r\n]")
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 _NON_BLANK = re.compile(rb"[^\n]")
 # The bytes of rows one chunk of a CSV writer gathers at most, unless one
-# row is longer, and about the bytes of one block the citations reader reads.
+# row is longer, and about the bytes of one block the CSV readers read.
 _CHUNK_BYTES = 2**19
 
 
@@ -217,10 +217,12 @@ def _article_problem(ids, journal, year, count) -> tuple[int, str] | None:
     The invariants: the journal exists, 0 <= count <= 2**53, and no row
     repeats the (journal, year) of an earlier one.
     """
-    order = np.lexsort((year, journal))  # stable, so a repeat sorts after its first row
-    _, repeats = _key_order((journal[order], year[order]))
-    repeated = np.zeros(len(order), dtype=bool)
-    repeated[order[repeats]] = True
+    ascending, repeated = _key_order((journal, year))
+    if not ascending:  # rows in (journal, year) order, as write_corpus writes them, skip the sort
+        order = np.lexsort((year, journal))  # stable, so a repeat sorts after its first row
+        _, repeats = _key_order((journal[order], year[order]))
+        repeated = np.zeros(len(order), dtype=bool)
+        repeated[order[repeats]] = True
     return _first_hit((
         ((journal < 0) | (journal >= len(ids)),
          lambda i: f"article row references unknown journal position {journal[i]}"),
@@ -327,8 +329,15 @@ def _positions(ids: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def journal_positions(ids: np.ndarray, names: np.ndarray) -> np.ndarray:
-    """Positions of `names` in the sorted array `ids`; CorpusError on an unknown name."""
-    positions, known = _positions(ids, names)
+    """Positions of `names` in the sorted array `ids`; CorpusError on an unknown name.
+
+    8-byte strings, padded with NULs, are compared as the big-endian uint64
+    values they spell, which order as the strings do and compare faster.
+    """
+    keys, needles = ids, names
+    if ids.dtype == names.dtype == np.dtype("S8"):
+        keys, needles = (array.view(">u8").astype(np.uint64) for array in (ids, names))
+    positions, known = _positions(keys, needles)
     if not known.all():
         raise CorpusError(f"unknown journal id {names[np.argmin(known)]!r}")
     return positions
@@ -378,6 +387,18 @@ def _blocks(file: IO[bytes]) -> Iterator[bytes]:
             rest = rest[cut:]
     if rest:
         yield rest
+
+
+def _opened(file: IO[bytes]) -> tuple:
+    """The binary file, at the start of its text after any UTF-8 byte order
+    mark, and the `_census` of that text.  A file that cannot seek, such as a
+    pipe, is read into memory first."""
+    if not file.seekable():
+        file = io.BytesIO(file.read())
+    file.seek(len(codecs.BOM_UTF8) if file.read(3) == codecs.BOM_UTF8 else 0)
+    starts, breaks = _census(file)
+    file.seek(starts[0][0])
+    return file, starts, breaks
 
 
 def _census(file: IO[bytes]) -> tuple[list[tuple[int, int]], int]:
@@ -472,6 +493,24 @@ def _utf8(strings: np.ndarray) -> tuple[str, ...]:
     return tuple("\n".join(strings.tolist()).encode("latin-1").decode("utf-8").split("\n"))
 
 
+def _kept(fields: np.ndarray) -> np.ndarray:
+    """Fields read as fixed-width bytes, as they are, or read as strings of one
+    character a byte, as StringDType strings of the UTF-8 text they hold."""
+    if fields.dtype.kind == "S":
+        return fields
+    return np.array(_utf8(fields), dtype=np.dtypes.StringDType())
+
+
+def _joined(blocks: list[np.ndarray], size: int) -> np.ndarray:
+    """The `_kept` fields of the blocks in one array: as fixed-width bytes if
+    every block holds bytes and they `_fits` the `size` bytes of the file,
+    else as StringDType strings, which bytes are decoded into as UTF-8."""
+    if all(block.dtype.kind == "S" for block in blocks) and _fits(
+            (max(block.itemsize for block in blocks),), sum(map(len, blocks)), size):
+        return np.concatenate(blocks)
+    return np.concatenate([block.astype(np.dtypes.StringDType()) for block in blocks])
+
+
 def _numeric_hits(text: np.ndarray, broken: np.ndarray) -> tuple:
     """The `_first_hit` checks for the rows `_text_integers` found broken."""
     return (
@@ -480,27 +519,19 @@ def _numeric_hits(text: np.ndarray, broken: np.ndarray) -> tuple:
     )
 
 
-def _journal_columns(text: np.ndarray, lines=None, raw=None) -> tuple:
-    """The Corpus journal fields (ids, names, article_journal, article_year,
-    article_count) of journals.csv rows, given as a table of string fields.
+def _check_journals(text: np.ndarray, lines: list[int]) -> None:
+    """Raise a CorpusError naming the line of the first journals.csv row, of a
+    table of string fields whose rows end on `lines`, with an empty id, a
+    name other than its id's first, a number outside the integer grammar, or
+    an article count or year the Corpus rejects; return if there is none.
 
     A row with empty year and articles declares a journal without article
-    data.  Given `raw`, the `_prepared` file of the table, numpy's integer
-    reader reads the other rows' years and articles; else `_text_integers`
-    does.  Raises a CorpusError for the first row with an empty id, a name
-    other than its id's first, a number outside the integer grammar, or an
-    article count or year the Corpus rejects, naming its line when `lines`
-    is given.
+    data.
     """
     row_ids, row_names = text[:, 0], text[:, 1]
-    data = (text[:, 2] != "") | (text[:, 3] != "")
-    rows = np.flatnonzero(data)
+    rows = np.flatnonzero((text[:, 2] != "") | (text[:, 3] != ""))
     broken = np.zeros(len(text), dtype=int)
-    if raw is None:
-        numbers, broken[rows] = _text_integers(text[rows, 2:])
-    else:
-        numbers = _loadtxt_table(_rows_only(raw, data), JOURNALS_HEADER, "journals", np.int64,
-                                 usecols=(2, 3))
+    numbers, broken[rows] = _text_integers(text[rows, 2:])
     ids, first, journal = np.unique(row_ids, return_index=True, return_inverse=True)
     names = row_names[first]
     hits = [_first_hit((
@@ -517,13 +548,13 @@ def _journal_columns(text: np.ndarray, lines=None, raw=None) -> tuple:
         hits.append((int(rows[article[0]]), article[1]))
     problem = min(filter(None, hits), key=lambda hit: hit[0], default=None)
     if problem is not None:
-        raise CorpusError(problem[1], line=None if lines is None else lines[problem[0]])
-    return ids, names, journal[rows], year, count
+        raise CorpusError(problem[1], line=lines[problem[0]])
 
 
-def _rows_only(raw: bytes, keep: np.ndarray) -> bytes:
-    """A `_prepared` file without the lines of the rows `keep` leaves out, each
-    row being one non-empty line after the header, as `_loadtxt_table` reads it."""
+def _rows_only(raw: bytes, keep: np.ndarray, header: bool) -> bytes:
+    """A `_prepared` file or block without the lines of the rows `keep` leaves
+    out, each row being one non-empty line after the header, if `header`, as
+    `_loadtxt_table` reads it."""
     if keep.all():
         return raw
     if not raw.endswith(b"\n"):
@@ -531,36 +562,149 @@ def _rows_only(raw: bytes, keep: np.ndarray) -> bytes:
     text = np.frombuffer(raw, dtype=np.uint8)
     sizes = np.diff(np.flatnonzero(text == 10), prepend=-1)  # each line's bytes, its LF included
     lines = np.ones(len(sizes), dtype=bool)
-    lines[1:][sizes[1:] > 1] = keep
+    lines[int(header):][sizes[int(header):] > 1] = keep
     return text[np.repeat(lines, sizes)].tobytes()
 
 
-def _loadtxt_journals(raw: bytes) -> tuple:
-    """The Corpus journal fields of a `_prepared` journals.csv, read by numpy's C parser."""
-    # Variable-width strings: a fixed width would size every row by the longest name.
-    ids, names, *articles = _journal_columns(_loadtxt_table(raw, JOURNALS_HEADER, "journals"),
-                                             raw=raw)
-    return _utf8(ids), _utf8(names), *articles
+def _fits(widths, rows: int, size: int) -> bool:
+    """Whether fixed-width fields of `widths` bytes in each of `rows` rows take
+    at most four times the `size` bytes of text they are read from.
+
+    The longest field sets the width, so fields of mixed lengths take a few
+    times their text; one long id or name among short ones takes far more,
+    and where it would, a reader reads its string fields as variable-width
+    strings.
+    """
+    return sum(widths) * rows <= 4 * size
 
 
-def _parse_journals(raw: bytes) -> tuple:
+def _name_widths(block: bytes) -> tuple[int, int] | None:
+    """Fixed widths for the ids and names of a `_prepared` block of
+    journals.csv, one byte past the longest first and second field of its
+    lines, split at the commas outside quotes; None where they do not
+    `_fits`.
+
+    A field of a line that is not well quoted may be longer than its width:
+    it fills the width, which is how its read is known to have cut it.
+    """
+    text = np.frombuffer(block, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(text == 10), len(text))  # the last line may have no LF
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(text == 44)
+    if b'"' in block:  # a comma after an odd number of quotes is inside a quoted field
+        commas = commas[np.cumsum(text == 34, dtype=np.uint8)[commas] % 2 == 0]
+    commas = np.append(commas, [len(text)] * 2)
+    first = np.searchsorted(commas, starts)
+    id_end, name_end = (np.minimum(commas[first + k], ends) for k in (0, 1))
+    # A name's bytes are counted with the comma before it.
+    widths = (int((id_end - starts).max()) + 1, max(int((name_end - id_end).max()), 1))
+    return widths if _fits(widths, len(starts), len(block)) else None
+
+
+def _journal_rows(block: bytes, header: bool) -> tuple:
+    """The ids and names of the rows of a `_prepared` block of journals.csv,
+    which rows hold article data (None for all of them), and those rows'
+    years and article counts.
+
+    The ids and names are read as fixed-width bytes, in one read with the
+    numbers, where `_name_widths` gives widths and no field fills its
+    width.  Else, as in a block with a row of empty year and articles, they
+    are read as strings of one character a byte, and the numbers of the
+    other rows in a second read.  Raises ValueError, csv.Error or
+    CorpusError for a block it cannot read.
+    """
+    widths = _name_widths(block)
+    if widths is not None:
+        dtype = [("id", f"S{widths[0]}"), ("name", f"S{widths[1]}"),
+                 ("year", np.int64), ("articles", np.int64)]
+        try:
+            table = _loadtxt_table(block, JOURNALS_HEADER, "journals", dtype, ndmin=1,
+                                   header=header)
+        except ValueError:  # such as a row with empty year and articles
+            table = None
+        if table is not None and all((np.strings.str_len(table[name]) < width).all()
+                                     for name, width in zip(("id", "name"), widths)):
+            return table["id"], table["name"], None, table["year"], table["articles"]
+    text = _loadtxt_table(block, JOURNALS_HEADER, "journals", header=header)
+    data = (text[:, 2] != "") | (text[:, 3] != "")
+    numbers = _loadtxt_table(_rows_only(block, data, header), JOURNALS_HEADER, "journals",
+                             np.int64, usecols=(2, 3), header=header)
+    return text[:, 0], text[:, 1], data, numbers[:, 0], numbers[:, 1]
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The index of the first value of each run of equal values, each value's
+    run, and whether the values ascend."""
+    ascending, repeats = _key_order((values,))
+    new = ~repeats
+    return np.flatnonzero(new), np.cumsum(new) - 1, ascending
+
+
+def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
+    """The Corpus journal fields of the rest of a journals.csv file, with
+    `_census` `starts` and `breaks`, read block by block by numpy's C parser.
+
+    Rows of one id in a row form a run, whose id and name are kept once.
+    Each row's run, year and article count go into three int64 columns
+    allocated from the line-break count, so a read holds them, the runs and
+    one block, not the whole file.  When the runs' ids ascend, as
+    `write_corpus` writes them, runs of one id are one journal; else
+    `np.unique` finds the journals, on the ids as fixed-width bytes where
+    they `_fits`.  Raises ValueError, csv.Error or CorpusError, naming no
+    line, for a file that breaks a rule.
+    """
+    columns = [np.empty(breaks + 1, dtype=np.int64) for _ in range(3)]
+    ids, names, runs, n = [np.empty(0, dtype="S1")], [np.empty(0, dtype="S1")], 0, 0
+    for k, ((offset, _), (end, _)) in enumerate(zip(starts, starts[1:])):
+        row_ids, row_names, data, year, count = _journal_rows(_prepared(file.read(end - offset)),
+                                                              k == 0)
+        first, run, _ = _runs(row_ids)
+        if ((row_names[1:] != row_names[:-1]) & (run[1:] == run[:-1])).any():
+            raise CorpusError("a journal is listed with conflicting names")
+        ids.append(_kept(row_ids[first]))
+        names.append(_kept(row_names[first]))
+        run += runs
+        runs += len(first)
+        for column, values in zip(columns, (run if data is None else run[data], year, count)):
+            column[n:n + len(values)] = values
+        n += len(year)
+        del row_ids, row_names, data, year, count, first, run  # freed before the next block
+    for column in columns:
+        column.resize(n, refcheck=False)  # in place; nothing else refers to it
+    run, year, count = columns
+    ids, names = (_joined(blocks, starts[-1][0] - starts[0][0]) for blocks in (ids, names))
+    first, journal, ascending = _runs(ids)
+    if not ascending:
+        _, first, journal = np.unique(ids, return_index=True, return_inverse=True)
+    if (names != names[first][journal]).any():
+        raise CorpusError("a journal is listed with conflicting names")
+    ids, names = (tuple(array[first].astype(np.dtypes.StringDType()).tolist())
+                  for array in (ids, names))
+    if ids[:1] == ("",):
+        raise CorpusError("empty journal id")
+    np.take(journal, run, out=run)  # each row's journal
+    problem = _article_problem(ids, run, year, count)
+    if problem is not None:
+        raise CorpusError(problem[1])
+    return ids, names, run, year, count
+
+
+def _parse_journals(file: IO[bytes]) -> tuple:
     """Journal rows are `id,name,year,articles`, one per (journal, year); a row
     with empty year and articles declares a journal with no article data.
     A UTF-8 byte order mark is ignored.
 
-    A file numpy's parser rejects is read again with the csv module to name
+    `file` is the binary journals file, which `_loadtxt_journals` reads.  A
+    file numpy's parser rejects is read again with the csv module to name
     the line of its first bad row.
     """
-    raw = raw.removeprefix(codecs.BOM_UTF8)
-    file = io.BytesIO(raw)
-    if not raw.isascii():
-        _census(file)  # raises for a byte that is not UTF-8
+    file, starts, breaks = _opened(file)
     try:
-        return _loadtxt_journals(_prepared(raw))
+        return _loadtxt_journals(file, starts, breaks)
     except (ValueError, csv.Error, CorpusError) as exc:  # its traceback is freed before the re-read
         error = CorpusError(f"journals file could not be read: {exc}")
-    text, lines, bad = _reread(file, 0, 0, JOURNALS_HEADER, "journals")
-    _journal_columns(text, lines)
+    text, lines, bad = _reread(file, starts[0][0], 0, JOURNALS_HEADER, "journals")
+    _check_journals(text, lines)
     raise bad or error
 
 
@@ -611,31 +755,25 @@ def _parse_citations(journals: tuple, file: IO[bytes]) -> Corpus:
     keys are merged by summing counts.  A UTF-8 byte order mark is ignored.
 
     `journals` is the Corpus journal fields, ids first, and `file` the
-    binary citations file.  A first pass counts its line breaks, which bound
-    its rows; each of its `_blocks` is then read into five int64 columns of
-    that length, allocated up front, so a read holds the columns and one
-    block, not the whole file.  A file that cannot seek, such as a pipe, is
-    read into memory first.
+    binary citations file.  The `_census` counts its line breaks, which
+    bound its rows; each of its `_blocks` is then read into five int64
+    columns of that length, allocated up front, so a read holds the columns
+    and one block, not the whole file.
     """
     ids = journals[0]
-    if not file.seekable():
-        file = io.BytesIO(file.read())
-    file.seek(len(codecs.BOM_UTF8) if file.read(3) == codecs.BOM_UTF8 else 0)
-    starts, breaks = _census(file)
+    file, starts, breaks = _opened(file)
     keys = "\n".join(ids).encode("utf-8").split(b"\n") if ids else []
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
     width = max(map(len, keys), default=0) + 1
-    dtype = [(name, f"S{width}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
-    # Only where fixed-width id columns would outgrow the file, as one long id
-    # can make them, are the ids read as variable-width strings.
-    if 2 * width * (breaks + 1) > starts[-1][0] - starts[0][0]:
+    if _fits((width, width), breaks + 1, starts[-1][0] - starts[0][0]):
+        width = max(width, 8)  # 8 bytes compare as one uint64 in journal_positions
+        keys = np.array(keys, dtype=f"S{width}")
+        dtype = [(name, f"S{width}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
+    else:
         # The fields hold one character per byte, and so must the keys.
         keys, dtype = [key.decode("latin-1") for key in keys], None
-    else:
-        keys = np.array(keys, dtype=f"S{width}")
     columns = [np.empty(breaks + 1, dtype=np.int64) for _ in COLUMNS]
     rows = [0]  # the rows before each block read
-    file.seek(starts[0][0])
     for (offset, _), (end, _) in zip(starts, starts[1:]):
         try:
             block = _citation_block(_prepared(file.read(end - offset)), len(rows) == 1, keys, dtype)
@@ -723,11 +861,11 @@ def _reread(file: IO[bytes], offset: int, line: int, expected: list[str], what: 
 def load_corpus(journals_path, citations_path) -> Corpus:
     """The Corpus of a journals.csv and a citations.csv file.
 
-    The citations file is read in blocks, so the memory a load takes follows
-    the merged columns, not the file.
+    Both files are read in blocks, so the memory a load takes follows the
+    columns it returns, not the files.
     """
     with open(journals_path, "rb") as jf:
-        journals = _parse_journals(jf.read())
+        journals = _parse_journals(jf)
     with open(citations_path, "rb") as cf:
         return _parse_citations(journals, cf)
 

@@ -39,7 +39,7 @@ from conftest import (
 
 
 def parse_strings(journals_text, citations_text):
-    journals = _parse_journals(journals_text.encode("utf-8"))
+    journals = _parse_journals(io.BytesIO(journals_text.encode("utf-8")))
     return _parse_citations(journals, io.BytesIO(citations_text.encode("utf-8")))
 
 
@@ -199,7 +199,7 @@ def csv_file(header, fields):
 # Field texts as written in the file.  Valid texts come five times over, so
 # that most rows parse.
 ID_TEXTS = st.sampled_from(5 * ["a", "b", "é", '"a,b"', '"q""x"', "日本"] + [
-    "", " a", "zz", '"a"x', 'a"', '"x\ry"', '"x\ny"', "a\0", "ü" * 300,
+    "", " a", "zz", '"a"x', 'a"', '"x\ry"', '"x\ny"', "a\0", "ü" * 300, "J000000", "0028-0836",
 ])
 NAME_TEXTS = st.sampled_from(5 * [None] + ["Alpha", '"Gamma, Applied"', "", '"Q ""x"""', "Ünï"])
 NUMBER_TEXTS = st.sampled_from([
@@ -223,10 +223,14 @@ JOURNAL_FIELDS = st.tuples(ID_TEXTS, NAME_TEXTS, st.one_of(
 )).map(lambda fields: (fields[0], USUAL_NAMES.get(fields[0], "Beta") if fields[1] is None
                        else fields[1], *fields[2]))
 # Journals for the citations files: the ids ID_TEXTS spells, with and
-# without one so long that the id columns are read as variable-width strings.
+# without one so long that the id columns are read as variable-width strings;
+# with a 7-byte id, whose fixed width of 8 bytes is compared as a uint64; and
+# with a 9-byte ISSN, whose width of 10 bytes is compared as bytes.
 SHORT_IDS = ("a", "a,b", "b", 'q"x', "é", "日本")
 LONG_IDS = tuple(sorted(SHORT_IDS + ("ü" * 300,)))
-JOURNAL_SETS = [(ids, ids, [], [], []) for ids in (SHORT_IDS, LONG_IDS)]
+SEVEN_BYTE_IDS = tuple(sorted(SHORT_IDS + ("J000000",)))
+ISSN_IDS = tuple(sorted(SHORT_IDS + ("0028-0836",)))
+JOURNAL_SETS = [(ids, ids, [], [], []) for ids in (SHORT_IDS, LONG_IDS, SEVEN_BYTE_IDS, ISSN_IDS)]
 
 
 @given(csv_file("id,name,year,articles", JOURNAL_FIELDS),
@@ -254,6 +258,8 @@ JOURNAL_SETS = [(ids, ids, [], [], []) for ids in (SHORT_IDS, LONG_IDS)]
 @example(  # a quoted LF in the count field of a last row that the file ends inside
     b"", b'citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\nb,a,2006,2005,"2\n',
     JOURNAL_SETS[0])
+@example(  # an id one byte longer than the longest, which is not cut onto it
+    b"", b"citing,cited,citing_year,cited_year,count\n0028-08361,a,2006,2005,1\n", JOURNAL_SETS[3])
 @settings(max_examples=500, deadline=None)
 def test_parser_matches_the_csv_reference(journals_raw, citations_raw, journals):
     """numpy's parser reads every valid file as the csv-module reference in
@@ -263,7 +269,7 @@ def test_parser_matches_the_csv_reference(journals_raw, citations_raw, journals)
 
 
 def assert_reads_as_the_reference(journals_raw, citations_raw, journals):
-    assert outcome(lambda: _parse_journals(journals_raw)) == outcome(
+    assert outcome(lambda: _parse_journals(io.BytesIO(journals_raw))) == outcome(
         lambda: csv_reference.journals(journals_raw))
     records = outcome(lambda: [csv_reference.citations(journals[0], citations_raw)])
     if records[0] != "error":
@@ -300,6 +306,12 @@ HEADER_LF = b"citing,cited,citing_year,cited_year,count\n"
 @example(  # a running total past 2**53 in the block of a malformed row, from an earlier block's
     b"", HEADER_LF + b"a,b,2006,2005,9007199254740000\nb,a,2006,2005,993\na,b,2006,2005,x\n",
     JOURNAL_SETS[0], 18)
+@example(  # ascending ids, with one journal's rows split by a block end
+    b"id,name,year,articles\na,Alpha,2005,1\na,Alpha,2006,2\nb,Beta,2006,3\n",
+    b"citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\n", JOURNAL_SETS[0], 16)
+@example(  # ascending ids, with a conflicting name first seen in a later block
+    b"id,name,year,articles\na,Alpha,2005,1\nb,Beta,2006,3\nb,Bet,2005,3\n", b"",
+    JOURNAL_SETS[0], 16)
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_the_csv_reference_in_small_blocks(journals_raw, citations_raw, journals,
                                                           chunk_bytes):
@@ -367,7 +379,7 @@ def test_a_citations_file_is_read_block_by_block_into_its_columns(generated_file
     """A read holds the five int64 columns and a block: not the whole file, nor
     a table of all its rows."""
     corpus, path = generated_files
-    journals = _parse_journals((path / "journals.csv").read_bytes())
+    journals = _parse_journals(io.BytesIO((path / "journals.csv").read_bytes()))
     with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**16), \
             open(path / "citations.csv", "rb") as citations:
         loaded, peak = traced_peak(lambda: _parse_citations(journals, citations))
@@ -378,7 +390,7 @@ def test_a_citations_file_is_read_block_by_block_into_its_columns(generated_file
 def test_a_bad_last_row_costs_less_than_twice_the_read(generated_files):
     """Only the block of a bad row is read again with the csv module."""
     corpus, path = generated_files
-    journals = _parse_journals((path / "journals.csv").read_bytes())
+    journals = _parse_journals(io.BytesIO((path / "journals.csv").read_bytes()))
     good = (path / "citations.csv").read_bytes()
     bad = good + f"{corpus.ids[0]},{corpus.ids[1]},2006,2005,x\n".encode()
     peaks = []
@@ -392,9 +404,77 @@ def test_a_bad_last_row_costs_less_than_twice_the_read(generated_files):
     assert peaks[1] < 2 * peaks[0]
 
 
+def test_a_journals_file_is_read_block_by_block(generated_files):
+    """A read holds the three int64 article columns, each journal's id and
+    name, and a block: not a table of the whole file's strings, which took
+    5.4 times the file."""
+    corpus, path = generated_files
+    raw = (path / "journals.csv").read_bytes()
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**14):  # about 10 blocks
+        fields, peak = traced_peak(lambda: _parse_journals(io.BytesIO(raw)))
+    assert fields[:2] == (corpus.ids, corpus.names)
+    assert all(np.array_equal(got, want) for got, want in zip(fields[2:], (
+        corpus.article_journal, corpus.article_year, corpus.article_count)))
+    assert peak < 2.5 * len(raw)
+
+
+def test_a_long_journal_name_does_not_multiply_the_journals_parse_memory():
+    """Fixed-width name fields sized by a 5,000-byte name would take 240 times
+    the journals file; the names of such a block are read as variable-width
+    strings."""
+    raw = ("id,name,year,articles\n" + "".join(f"j{i:04d},J{i},2006,1\n" for i in range(2000))
+           + f"x,{'L' * 5000},2006,1\n").encode()
+    fields, peak = traced_peak(lambda: _parse_journals(io.BytesIO(raw)))
+    assert fields[1][-2:] == ("J1999", "L" * 5000)
+    assert peak < 16 * len(raw)
+
+
+def test_a_shuffled_journals_file_reads_as_the_sorted_one(generated_files):
+    """Rows whose ids do not ascend are grouped into journals by np.unique,
+    into the same fields as the file write_corpus wrote."""
+    _, path = generated_files
+    header, *rows = (path / "journals.csv").read_bytes().splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled = header + b"".join(rows[i] for i in order)
+    with mock.patch.object(corpus_module.np, "unique", wraps=np.unique) as unique:
+        ids, names, journal, year, count = _parse_journals(io.BytesIO(shuffled))
+    assert unique.called
+    expected = _parse_journals(io.BytesIO(header + b"".join(rows)))
+    assert (ids, names) == expected[:2]
+    assert sorted(zip(journal.tolist(), year.tolist(), count.tolist())) == sorted(
+        zip(*(column.tolist() for column in expected[2:])))
+
+
+NO_NUL_IDS = st.binary(min_size=1, max_size=8).filter(lambda b: b"\0" not in b)
+
+
+@given(st.sets(NO_NUL_IDS, min_size=1, max_size=12), st.lists(NO_NUL_IDS, max_size=6))
+@example({b"a", b"ab", b"abc", b"a\x80", b"\xff"}, [b"abcd", b"\x80"])  # prefixes, high bytes
+@example({b"J000000", b"J000001"}, [b"J000000x", b"J00000"])  # one byte past every id
+@example({b"0028-083", b"\xf0\x9f\x98\x80" * 2, b"a"}, [b"0028-0836"[:8]])  # 8-byte ids
+@settings(max_examples=200, deadline=None)
+def test_journal_positions_agree_as_uint64_and_as_bytes(ids, others):
+    """8-byte fields are looked up as uint64 values, and wider ones as bytes;
+    both give the same positions, or name the same first unknown id."""
+    keys = np.array(sorted(ids), dtype="S8")
+    names = np.array(sorted(ids, reverse=True) + others, dtype="S8")
+    results = []
+    for dtype in ("S8", "S9"):
+        with mock.patch.object(corpus_module, "_positions",
+                               wraps=corpus_module._positions) as positions:
+            results.append(outcome(lambda: [corpus_module.journal_positions(
+                keys.astype(dtype), names.astype(dtype))]))
+        assert positions.call_args.args[0].dtype == (np.uint64 if dtype == "S8" else dtype)
+    assert results[0] == results[1]
+    unknown = [name for name in others if name not in ids]
+    expected = ("error", None, f"unknown journal id {np.bytes_(unknown[0])!r}") if unknown else [
+        [sorted(ids).index(name) for name in names.tolist()]]
+    assert results[0] == expected
+
+
 def test_a_citations_file_that_cannot_seek_is_read():
     """A pipe is read whole before the reader's two passes."""
-    journals = _parse_journals(JOURNALS_3.encode("utf-8"))
+    journals = _parse_journals(io.BytesIO(JOURNALS_3.encode("utf-8")))
     read_end, write_end = os.pipe()
     os.write(write_end, b"\xef\xbb\xbfciting,cited,citing_year,cited_year,count\na,b,2006,2005,2\n")
     os.close(write_end)
@@ -407,9 +487,24 @@ def test_journal_numbers_beside_a_bare_row_are_read_by_numpy():
     reader reads, which then reads every other row's numbers."""
     raw = b"id,name,year,articles\na,Alpha,2005,10\nx,No Data,,\n\nb,Beta, 2006 ,+5"
     with mock.patch.object(corpus_module, "_text_integers", side_effect=AssertionError):
-        ids, names, journal, year, count = _parse_journals(raw)
+        ids, names, journal, year, count = _parse_journals(io.BytesIO(raw))
     assert (ids, names) == (("a", "b", "x"), ("Alpha", "Beta", "No Data"))
     assert (journal.tolist(), year.tolist(), count.tolist()) == ([0, 1], [2005, 2006], [10, 5])
+
+
+def test_quoted_journal_names_with_commas_are_read_as_fixed_width_bytes():
+    """Only commas outside quotes split the fields whose widths the fixed-width
+    read takes, so quoted names that hold commas or quotes take no string read."""
+    raw = ('id,name,year,articles\n"a",Alpha,2005,1\na,"Alpha",2006,2\n'
+           'b,"Beta, ""Applied""",2006,3\nc,"Gamma, Pure and Applied",2006,4\n'
+           + "".join(f'j{i:02d},"J, {i}",2006,1\n' for i in range(20))).encode()
+    with mock.patch.object(corpus_module, "_utf8", side_effect=AssertionError):
+        ids, names, journal, year, count = _parse_journals(io.BytesIO(raw))
+    assert (ids[:3], names[:3]) == (("a", "b", "c"),
+                                    ("Alpha", 'Beta, "Applied"', "Gamma, Pure and Applied"))
+    assert names[3:] == tuple(f"J, {i}" for i in range(20))
+    assert (journal[:4].tolist(), year[:4].tolist(), count[:4].tolist()) == (
+        [0, 0, 1, 2], [2005, 2006, 2006, 2006], [1, 2, 3, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +605,8 @@ def test_parse_citation_errors(citations_text, line, fragment):
 @pytest.mark.parametrize("chunk_bytes", [1, 64])
 @pytest.mark.parametrize("journals_text, line, fragment", JOURNAL_ERRORS)
 def test_parse_journal_errors_in_small_blocks(journals_text, line, fragment, chunk_bytes):
+    """journals.csv is read block by block, as citations.csv is, so a bad row
+    is found, and its line named, in any block."""
     with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
         test_parse_journal_errors(journals_text, line, fragment)
 
@@ -522,7 +619,7 @@ def test_parse_citation_errors_in_small_blocks(citations_text, line, fragment, c
 
 
 def test_invalid_utf8_is_an_error_naming_its_line():
-    journals = _parse_journals(JOURNALS_3.encode("utf-8"))
+    journals = _parse_journals(io.BytesIO(JOURNALS_3.encode("utf-8")))
     with pytest.raises(CorpusError, match="^line 3: not valid UTF-8"):
         _parse_citations(journals, io.BytesIO(
             b"citing,cited,citing_year,cited_year,count\r\n\r\n\xff,b\n"))
@@ -534,7 +631,7 @@ def test_invalid_utf8_is_an_error_naming_its_line():
     (b"a,b,2006,2005,x\na,b,2006,2005,1\n\xe9\n", 4),
 ])
 def test_invalid_utf8_in_a_later_block_names_its_line(body, line):
-    journals = _parse_journals(JOURNALS_3.encode("utf-8"))
+    journals = _parse_journals(io.BytesIO(JOURNALS_3.encode("utf-8")))
     citations = io.BytesIO(b"citing,cited,citing_year,cited_year,count\r\n" + body)
     with mock.patch.object(corpus_module, "_CHUNK_BYTES", 4):
         with pytest.raises(CorpusError, match=f"^line {line}: not valid UTF-8"):
