@@ -493,22 +493,17 @@ def _utf8(strings: np.ndarray) -> tuple[str, ...]:
     return tuple("\n".join(strings.tolist()).encode("latin-1").decode("utf-8").split("\n"))
 
 
-def _kept(fields: np.ndarray) -> np.ndarray:
-    """Fields read as fixed-width bytes, as they are, or read as strings of one
-    character a byte, as StringDType strings of the UTF-8 text they hold."""
-    if fields.dtype.kind == "S":
-        return fields
-    return np.array(_utf8(fields), dtype=np.dtypes.StringDType())
-
-
 def _joined(blocks: list[np.ndarray], size: int) -> np.ndarray:
-    """The `_kept` fields of the blocks in one array: as fixed-width bytes if
-    every block holds bytes and they `_fits` the `size` bytes of the file,
-    else as StringDType strings, which bytes are decoded into as UTF-8."""
+    """The fields of the blocks, each read as fixed-width bytes or as strings
+    of one character a byte, in one array: as bytes if every block holds
+    bytes and they `_fits` the `size` bytes of the file, else as StringDType
+    strings of the UTF-8 text they hold."""
     if all(block.dtype.kind == "S" for block in blocks) and _fits(
             (max(block.itemsize for block in blocks),), sum(map(len, blocks)), size):
         return np.concatenate(blocks)
-    return np.concatenate([block.astype(np.dtypes.StringDType()) for block in blocks])
+    return np.concatenate([  # casting bytes to StringDType decodes them as UTF-8
+        block.astype(np.dtypes.StringDType()) if block.dtype.kind == "S"
+        else np.array(_utf8(block), dtype=np.dtypes.StringDType()) for block in blocks])
 
 
 def _numeric_hits(text: np.ndarray, broken: np.ndarray) -> tuple:
@@ -661,8 +656,8 @@ def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
         first, run, _ = _runs(row_ids)
         if ((row_names[1:] != row_names[:-1]) & (run[1:] == run[:-1])).any():
             raise CorpusError("a journal is listed with conflicting names")
-        ids.append(_kept(row_ids[first]))
-        names.append(_kept(row_names[first]))
+        ids.append(row_ids[first])
+        names.append(row_names[first])
         run += runs
         runs += len(first)
         for column, values in zip(columns, (run if data is None else run[data], year, count)):
