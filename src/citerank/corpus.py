@@ -218,7 +218,9 @@ def _article_problem(ids, journal, year, count) -> tuple[int, str] | None:
     repeats the (journal, year) of an earlier one.
     """
     ascending, repeated = _key_order((journal, year))
-    if not ascending:  # rows in (journal, year) order, as write_corpus writes them, skip the sort
+    # Rows in (journal, year) order, as write_corpus writes them, skip the sort,
+    # whose index and sorted copies would otherwise set the peak of a journals read.
+    if not ascending:
         order = np.lexsort((year, journal))  # stable, so a repeat sorts after its first row
         _, repeats = _key_order((journal[order], year[order]))
         repeated = np.zeros(len(order), dtype=bool)
@@ -627,12 +629,12 @@ def _journal_rows(block: bytes, header: bool) -> tuple:
     return text[:, 0], text[:, 1], data, numbers[:, 0], numbers[:, 1]
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The index of the first value of each run of equal values, each value's
-    run, and whether the values ascend."""
-    ascending, repeats = _key_order((values,))
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first value of each run of equal values, and each
+    value's run."""
+    _, repeats = _key_order((values,))
     new = ~repeats
-    return np.flatnonzero(new), np.cumsum(new) - 1, ascending
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
@@ -642,10 +644,8 @@ def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
     Rows of one id in a row form a run, whose id and name are kept once.
     Each row's run, year and article count go into three int64 columns
     allocated from the line-break count, so a read holds them, the runs and
-    one block, not the whole file.  When the runs' ids ascend, as
-    `write_corpus` writes them, runs of one id are one journal; else
-    `np.unique` finds the journals, on the ids as fixed-width bytes where
-    they `_fits`.  Raises ValueError, csv.Error or CorpusError, naming no
+    one block, not the whole file.  `np.unique` finds the journals among the
+    runs' ids, as fixed-width bytes where they `_fits`.  Raises ValueError, csv.Error or CorpusError, naming no
     line, for a file that breaks a rule.
     """
     columns = [np.empty(breaks + 1, dtype=np.int64) for _ in range(3)]
@@ -653,7 +653,7 @@ def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
     for k, ((offset, _), (end, _)) in enumerate(zip(starts, starts[1:])):
         row_ids, row_names, data, year, count = _journal_rows(_prepared(file.read(end - offset)),
                                                               k == 0)
-        first, run, _ = _runs(row_ids)
+        first, run = _runs(row_ids)
         if ((row_names[1:] != row_names[:-1]) & (run[1:] == run[:-1])).any():
             raise CorpusError("a journal is listed with conflicting names")
         ids.append(row_ids[first])
@@ -668,9 +668,7 @@ def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
         column.resize(n, refcheck=False)  # in place; nothing else refers to it
     run, year, count = columns
     ids, names = (_joined(blocks, starts[-1][0] - starts[0][0]) for blocks in (ids, names))
-    first, journal, ascending = _runs(ids)
-    if not ascending:
-        _, first, journal = np.unique(ids, return_index=True, return_inverse=True)
+    _, first, journal = np.unique(ids, return_index=True, return_inverse=True)
     if (names != names[first][journal]).any():
         raise CorpusError("a journal is listed with conflicting names")
     ids, names = (tuple(array[first].astype(np.dtypes.StringDType()).tolist())
