@@ -14,7 +14,6 @@ import bisect
 import codecs
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -87,7 +86,8 @@ class Corpus:
     Construction validates every row, sorts the article rows by (journal,
     year), sorts the records by (citing, cited, citing_year, cited_year) and
     sums duplicate record keys; the columns are read-only, and instances are
-    safe to share across threads.
+    safe to share across threads.  int64 columns already in order are kept,
+    not copied, so the caller must not write to them afterwards.
     """
 
     ids: tuple[str, ...]
@@ -110,15 +110,18 @@ class Corpus:
         if ids[:1] == ("",):
             raise CorpusError("journal id must be non-empty")
         articles = _int64_columns([getattr(self, name) for name in ARTICLE_COLUMNS], "article")
-        problem = _article_problem(ids, *articles)
+        order = _key_order(tuple(articles[:2]))
+        problem = _article_problem(ids, *articles, order)
         if problem is not None:
             raise CorpusError(problem[1])
-        order = np.lexsort((articles[1], articles[0]))  # by journal, then year
+        if not order[0]:  # rows in (journal, year) order, as the reader returns them, stay
+            index = np.lexsort((articles[1], articles[0]))
+            articles = [column[index] for column in articles]
         records = _int64_columns([getattr(self, name) for name in COLUMNS], "citation")
         problem = _first_problem(len(ids), *records)
         if problem is not None:
             raise CorpusError(problem[1])
-        columns = [column[order] for column in articles] + list(_merged(*records))
+        columns = articles + list(_merged(*records))
         for name, column in zip(ARTICLE_COLUMNS + COLUMNS, columns):
             column = column.view()
             column.flags.writeable = False
@@ -211,13 +214,14 @@ def _first_hit(checks) -> tuple[int, str] | None:
     return row, reason(row)
 
 
-def _article_problem(ids, journal, year, count) -> tuple[int, str] | None:
+def _article_problem(ids, journal, year, count, order) -> tuple[int, str] | None:
     """(row, reason) for the first article row that breaks an invariant; None if all hold.
 
     The invariants: the journal exists, 0 <= count <= 2**53, and no row
-    repeats the (journal, year) of an earlier one.
+    repeats the (journal, year) of an earlier one.  `order` is the rows'
+    `_key_order` by (journal, year).
     """
-    ascending, repeated = _key_order((journal, year))
+    ascending, repeated = order
     # Rows in (journal, year) order, as write_corpus writes them, skip the sort,
     # whose index and sorted copies would otherwise set the peak of a journals read.
     if not ascending:
@@ -398,18 +402,18 @@ def _opened(file: IO[bytes]) -> tuple:
     if not file.seekable():
         file = io.BytesIO(file.read())
     file.seek(len(codecs.BOM_UTF8) if file.read(3) == codecs.BOM_UTF8 else 0)
-    starts, breaks = _census(file)
+    starts = _census(file)
     file.seek(starts[0][0])
-    return file, starts, breaks
+    return file, starts
 
 
-def _census(file: IO[bytes]) -> tuple[list[tuple[int, int]], int]:
+def _census(file: IO[bytes]) -> list[tuple[int, int]]:
     """The (byte offset, line breaks before it) of each of the `_blocks` of the
-    rest of the file and of its end, and the CRs and LFs it holds.
+    rest of the file and of its end, where a CRLF is one line break.
 
     Raises a CorpusError naming the line of the first byte that is not UTF-8.
     """
-    starts, offset, lines, breaks = [], file.tell(), 0, 0
+    starts, offset, lines = [], file.tell(), 0
     for block in _blocks(file):
         starts.append((offset, lines))
         if not block.isascii():
@@ -418,13 +422,12 @@ def _census(file: IO[bytes]) -> tuple[list[tuple[int, int]], int]:
             except UnicodeDecodeError as exc:
                 line = lines + len(_LINE_BREAK.findall(block, 0, exc.start)) + 1
                 raise CorpusError("not valid UTF-8", line=line) from None
-        lf = np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-        cr = block.count(b"\r") if b"\r" in block else 0
-        breaks += lf + cr
-        lines += lf + cr - (cr and block.count(b"\r\n"))
+        lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+        if b"\r" in block:
+            lines += block.count(b"\r") - block.count(b"\r\n")
         offset += len(block)
     starts.append((offset, lines))
-    return starts, breaks
+    return starts
 
 
 def _prepared(block: bytes) -> bytes:
@@ -435,26 +438,22 @@ def _prepared(block: bytes) -> bytes:
     return block.replace(b"\r", b"\n") if b"\r" in block else block
 
 
-def _loadtxt_table(raw: bytes, expected: list[str], what: str, dtype=None, ndmin: int = 2,
-                   usecols=None, header: bool = True) -> np.ndarray:
-    """The rows of a `_prepared` file or block, after the header when it starts
-    with one, read by numpy's C parser; without a `dtype`, every field as a
-    string, one row per record.
+def _loadtxt_table(raw: bytes, expected: list[str], what: str, dtype, header: bool) -> np.ndarray:
+    """The rows of a `_prepared` block, after the header if `header`, read by
+    numpy's C parser as the structured `dtype`, one row per record.
 
-    Each byte is read as one character, so string fields hold the UTF-8
-    bytes of the text.  Under that reading numpy's integer reader takes no
-    byte above 0x7F but 0x85 and 0xA0, as whitespace, and in valid UTF-8
+    Each byte is read as one character, so fixed-width bytes fields hold the
+    UTF-8 bytes of the text.  Under that reading numpy's integer reader takes
+    no byte above 0x7F but 0x85 and 0xA0, as whitespace, and in valid UTF-8
     both follow a lead byte it rejects.  Raises ValueError, csv.Error or
-    CorpusError for a file it cannot read, such as one with a row of another
+    CorpusError for a block it cannot read, such as one with a row of another
     length or a field holding a line break, which numpy's parser reads.
     """
-    # A new StringDType per read: numpy 2.4 fails a read in a SystemError after one failed with it.
-    dtype = np.dtypes.StringDType() if dtype is None else dtype
     body_start = raw.find(b"\n") + 1 or len(raw) if header else 0
     if header and raw:  # an empty file has no header and no rows
         _check_header(next(csv.reader([raw[:body_start].decode("latin-1")]), None), expected, what)
     if _NON_BLANK.search(raw, body_start) is None:
-        return np.empty((0, len(expected))[:ndmin], dtype=dtype)  # loadtxt would warn
+        return np.empty(0, dtype=dtype)  # loadtxt would warn
     # Only a quoted field can hold a line break; it joins the lines it spans into
     # one row, so numpy reads fewer rows than non-empty lines, counted first here.
     # At the end of the text numpy closes an open quote, keeping the LF in the
@@ -469,43 +468,17 @@ def _loadtxt_table(raw: bytes, expected: list[str], what: str, dtype=None, ndmin
             last = ended[-1]
             line = raw[body_start + (ends[last - 1] + 1 if last else 0):body_start + ends[last] + 1]
             fields = np.loadtxt(io.BytesIO(line), delimiter=",", comments=None, quotechar='"',
-                                encoding="latin-1", dtype=np.dtypes.StringDType())
-            if any("\n" in field for field in fields.tolist()):
+                                ndmin=1, encoding="latin-1", dtype=f"S{len(line)}")
+            if any(b"\n" in field for field in fields.tolist()):
                 raise ValueError("a field holds a line break")
         del ends, ended
     body = io.BytesIO(raw)
     body.seek(body_start)
-    table = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=ndmin,
-                       usecols=usecols, encoding="latin-1", dtype=dtype)
+    table = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                       encoding="latin-1", dtype=dtype)
     if lines is not None and len(table) != lines:
         raise ValueError("a field holds a line break")
-    # numpy holds each row to the first one's length, but not to the header's.
-    if usecols is None and table.ndim == 2 and table.shape[1] != len(expected):
-        raise ValueError(f"{what} rows need {len(expected)} fields")
     return table
-
-
-def _utf8(strings: np.ndarray) -> tuple[str, ...]:
-    """Strings read one character per byte, as the UTF-8 text they hold.
-
-    No field holds a LF, so one join, encode, decode and split does them all.
-    """
-    if not len(strings):
-        return ()
-    return tuple("\n".join(strings.tolist()).encode("latin-1").decode("utf-8").split("\n"))
-
-
-def _joined(blocks: list[np.ndarray], size: int) -> np.ndarray:
-    """The fields of the blocks, each read as fixed-width bytes or as strings
-    of one character a byte, in one array: as bytes if every block holds
-    bytes and they `_fits` the `size` bytes of the file, else as StringDType
-    strings of the UTF-8 text they hold."""
-    if all(block.dtype.kind == "S" for block in blocks) and _fits(
-            (max(block.itemsize for block in blocks),), sum(map(len, blocks)), size):
-        return np.concatenate(blocks)
-    return np.concatenate([  # casting bytes to StringDType decodes them as UTF-8
-        block.astype(np.dtypes.StringDType()) if block.dtype.kind == "S"
-        else np.array(_utf8(block), dtype=np.dtypes.StringDType()) for block in blocks])
 
 
 def _numeric_hits(text: np.ndarray, broken: np.ndarray) -> tuple:
@@ -516,41 +489,9 @@ def _numeric_hits(text: np.ndarray, broken: np.ndarray) -> tuple:
     )
 
 
-def _check_journals(text: np.ndarray, lines: list[int]) -> None:
-    """Raise a CorpusError naming the line of the first journals.csv row, of a
-    table of string fields whose rows end on `lines`, with an empty id, a
-    name other than its id's first, a number outside the integer grammar, or
-    an article count or year the Corpus rejects; return if there is none.
-
-    A row with empty year and articles declares a journal without article
-    data.
-    """
-    row_ids, row_names = text[:, 0], text[:, 1]
-    rows = np.flatnonzero((text[:, 2] != "") | (text[:, 3] != ""))
-    broken = np.zeros(len(text), dtype=int)
-    numbers, broken[rows] = _text_integers(text[rows, 2:])
-    ids, first, journal = np.unique(row_ids, return_index=True, return_inverse=True)
-    names = row_names[first]
-    hits = [_first_hit((
-        (row_ids == "", lambda i: "empty journal id"),
-        (row_names != names[journal],
-         lambda i: f"journal {row_ids[i]!r} listed with conflicting names "
-                   f"{names[journal[i]]!r} and {row_names[i]!r}"),
-        *_numeric_hits(text, broken),
-    ))]
-    good = broken[rows] == 0
-    rows, year, count = rows[good], numbers[good, 0], numbers[good, 1]
-    article = _article_problem(ids, journal[rows], year, count)
-    if article is not None:
-        hits.append((int(rows[article[0]]), article[1]))
-    problem = min(filter(None, hits), key=lambda hit: hit[0], default=None)
-    if problem is not None:
-        raise CorpusError(problem[1], line=lines[problem[0]])
-
-
 def _rows_only(raw: bytes, keep: np.ndarray, header: bool) -> bytes:
-    """A `_prepared` file or block without the lines of the rows `keep` leaves
-    out, each row being one non-empty line after the header, if `header`, as
+    """A `_prepared` block without the lines of the rows `keep` leaves out, each
+    row being one non-empty line after the header, if `header`, as
     `_loadtxt_table` reads it."""
     if keep.all():
         return raw
@@ -569,17 +510,15 @@ def _fits(widths, rows: int, size: int) -> bool:
 
     The longest field sets the width, so fields of mixed lengths take a few
     times their text; one long id or name among short ones takes far more,
-    and where it would, a reader reads its string fields as variable-width
-    strings.
+    and where it would, a reader splits the text it reads in smaller parts.
     """
     return sum(widths) * rows <= 4 * size
 
 
-def _name_widths(block: bytes) -> tuple[int, int] | None:
-    """Fixed widths for the ids and names of a `_prepared` block of
-    journals.csv, one byte past the longest first and second field of its
-    lines, split at the commas outside quotes; None where they do not
-    `_fits`.
+def _field_widths(block: bytes, n: int) -> tuple[int, ...] | None:
+    """Fixed widths for the first `n` fields of a `_prepared` block, one byte
+    past the longest of each among its lines, split at the commas outside
+    quotes; None where they do not `_fits`.
 
     A field of a line that is not well quoted may be longer than its width:
     it fills the width, which is how its read is known to have cut it.
@@ -590,96 +529,144 @@ def _name_widths(block: bytes) -> tuple[int, int] | None:
     commas = np.flatnonzero(text == 44)
     if b'"' in block:  # a comma after an odd number of quotes is inside a quoted field
         commas = commas[np.cumsum(text == 34, dtype=np.uint8)[commas] % 2 == 0]
-    commas = np.append(commas, [len(text)] * 2)
+    commas = np.append(commas, [len(text)] * n)
     first = np.searchsorted(commas, starts)
-    id_end, name_end = (np.minimum(commas[first + k], ends) for k in (0, 1))
-    # A name's bytes are counted with the comma before it.
-    widths = (int((id_end - starts).max()) + 1, max(int((name_end - id_end).max()), 1))
-    return widths if _fits(widths, len(starts), len(block)) else None
+    widths, start = [], starts - 1
+    for k in range(n):  # each field's bytes are counted with the comma before it
+        end = np.minimum(commas[first + k], ends)
+        widths.append(max(int((end - start).max()), 1))
+        start = end
+    return tuple(widths) if _fits(widths, len(starts), len(block)) else None
 
 
-def _journal_rows(block: bytes, header: bool) -> tuple:
-    """The ids and names of the rows of a `_prepared` block of journals.csv,
-    which rows hold article data (None for all of them), and those rows'
-    years and article counts.
+def _cut(table: np.ndarray) -> bool:
+    """Whether a fixed-width bytes field of a structured table fills its width,
+    its last byte not being NUL."""
+    rows = table.view(np.uint8).reshape(len(table), table.itemsize)
+    return any(rows[:, offset + dtype.itemsize - 1].any()
+               for dtype, offset, *_ in table.dtype.fields.values() if dtype.kind == "S")
 
-    The ids and names are read as fixed-width bytes, in one read with the
-    numbers, where `_name_widths` gives widths and no field fills its
-    width.  Else, as in a block with a row of empty year and articles, they
-    are read as strings of one character a byte, and the numbers of the
-    other rows in a second read.  Raises ValueError, csv.Error or
-    CorpusError for a block it cannot read.
+
+def _split_reads(block: bytes, header: bool, n: int, read, fixed=None) -> list:
+    """`read(part, header, widths)` for each part of a `_prepared` block, where
+    `widths` is `fixed` or the part's `_field_widths` for its first `n` fields.
+
+    A part without widths, or whose read returns None because a field fills
+    its width, is split in two at a line break.  A part of one line takes
+    fields as wide as the line, which none can fill, so the splitting ends.
     """
-    widths = _name_widths(block)
-    if widths is not None:
-        dtype = [("id", f"S{widths[0]}"), ("name", f"S{widths[1]}"),
-                 ("year", np.int64), ("articles", np.int64)]
-        try:
-            table = _loadtxt_table(block, JOURNALS_HEADER, "journals", dtype, ndmin=1,
-                                   header=header)
-        except ValueError:  # such as a row with empty year and articles
-            table = None
-        if table is not None and all((np.strings.str_len(table[name]) < width).all()
-                                     for name, width in zip(("id", "name"), widths)):
-            return table["id"], table["name"], None, table["year"], table["articles"]
-    text = _loadtxt_table(block, JOURNALS_HEADER, "journals", header=header)
-    data = (text[:, 2] != "") | (text[:, 3] != "")
-    numbers = _loadtxt_table(_rows_only(block, data, header), JOURNALS_HEADER, "journals",
-                             np.int64, usecols=(2, 3), header=header)
-    return text[:, 0], text[:, 1], data, numbers[:, 0], numbers[:, 1]
+    middle = len(block) // 2
+    cut = block.find(b"\n", middle, len(block) - 1) + 1 or block.rfind(b"\n", 0, middle) + 1
+    if not cut:
+        return [read(block, header, (len(block) + 1,) * n)]
+    widths = fixed or _field_widths(block, n)
+    result = None if widths is None else read(block, header, widths)
+    if result is not None:
+        return [result]
+    return (_split_reads(block[:cut], header, n, read, fixed)
+            + _split_reads(block[cut:], False, n, read, fixed))
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first value of each run of equal values, and each
-    value's run."""
-    _, repeats = _key_order((values,))
-    new = ~repeats
-    return np.flatnonzero(new), np.cumsum(new) - 1
+def _joined(arrays: list[np.ndarray], size: int) -> np.ndarray:
+    """The fixed-width bytes of the arrays in one array: as fixed-width bytes
+    where they `_fits` the `size` bytes of the file, else as an object array
+    of bytes, which one long id or name does not widen."""
+    arrays = [np.empty(0, dtype="S1"), *arrays]
+    if _fits((max(array.itemsize for array in arrays),), sum(map(len, arrays)), size):
+        return np.concatenate(arrays)
+    return np.concatenate([array.astype(object) for array in arrays])
 
 
-def _loadtxt_journals(file: IO[bytes], starts, breaks: int) -> tuple:
-    """The Corpus journal fields of the rest of a journals.csv file, with
-    `_census` `starts` and `breaks`, read block by block by numpy's C parser.
+def _read_blocks(file: IO[bytes], starts, what: str, n_columns: int, read_block) -> tuple:
+    """The `n_columns` int64 columns of the rest of a file with `_census`
+    `starts`, up to the first block that fails; the rows before each block
+    read; and the CorpusError of the block that failed, or None.
 
-    Rows of one id in a row form a run, whose id and name are kept once.
-    Each row's run, year and article count go into three int64 columns
-    allocated from the line-break count, so a read holds them, the runs and
-    one block, not the whole file.  `np.unique` finds the journals among the
-    runs' ids, as fixed-width bytes where they `_fits`.  Raises ValueError, csv.Error or CorpusError, naming no
-    line, for a file that breaks a rule.
+    `read_block(block, k)` gives the rows of `_prepared` block k as parts,
+    each a tuple of int64 columns, which go into the columns allocated up
+    front from the line breaks: a read holds them and one block.
     """
-    columns = [np.empty(breaks + 1, dtype=np.int64) for _ in range(3)]
-    ids, names, runs, n = [np.empty(0, dtype="S1")], [np.empty(0, dtype="S1")], 0, 0
+    columns = [np.empty(starts[-1][1] + 1, dtype=np.int64) for _ in range(n_columns)]
+    rows, error = [0], None
     for k, ((offset, _), (end, _)) in enumerate(zip(starts, starts[1:])):
-        row_ids, row_names, data, year, count = _journal_rows(_prepared(file.read(end - offset)),
-                                                              k == 0)
-        first, run = _runs(row_ids)
-        if ((row_names[1:] != row_names[:-1]) & (run[1:] == run[:-1])).any():
-            raise CorpusError("a journal is listed with conflicting names")
-        ids.append(row_ids[first])
-        names.append(row_names[first])
-        run += runs
-        runs += len(first)
-        for column, values in zip(columns, (run if data is None else run[data], year, count)):
-            column[n:n + len(values)] = values
-        n += len(year)
-        del row_ids, row_names, data, year, count, first, run  # freed before the next block
+        try:
+            parts = read_block(_prepared(file.read(end - offset)), k)
+        except (ValueError, csv.Error, CorpusError) as exc:
+            # The message only: the traceback is freed before the re-read.
+            error = CorpusError(f"{what} file could not be read: {exc}")
+            break
+        n = rows[-1]
+        for part in parts:
+            for column, values in zip(columns, part):
+                column[n:n + len(values)] = values
+            n += len(part[0])
+        rows.append(n)
+        del parts, part, values  # freed before the next block is read
     for column in columns:
-        column.resize(n, refcheck=False)  # in place; nothing else refers to it
-    run, year, count = columns
-    ids, names = (_joined(blocks, starts[-1][0] - starts[0][0]) for blocks in (ids, names))
-    _, first, journal = np.unique(ids, return_index=True, return_inverse=True)
-    if (names != names[first][journal]).any():
-        raise CorpusError("a journal is listed with conflicting names")
-    ids, names = (tuple(array[first].astype(np.dtypes.StringDType()).tolist())
-                  for array in (ids, names))
-    if ids[:1] == ("",):
-        raise CorpusError("empty journal id")
-    np.take(journal, run, out=run)  # each row's journal
-    problem = _article_problem(ids, run, year, count)
-    if problem is not None:
-        raise CorpusError(problem[1])
-    return ids, names, run, year, count
+        column.resize(rows[-1], refcheck=False)  # in place; nothing else refers to it
+    return columns, rows, error
+
+
+def _journal_part(block: bytes, header: bool, widths) -> tuple | None:
+    """The ids and names of a `_prepared` part of journals.csv as fixed-width
+    bytes of `widths`, which rows hold article data (None for all), and
+    those rows' years and article counts; None where a field fills its width.
+
+    A part with a row of empty year and articles fails the one read of all
+    four fields; it is read with the numbers as bytes too, and the numbers
+    of the other rows are read on their own.  Raises ValueError, csv.Error
+    or CorpusError for a part it cannot read.
+    """
+    strings = [("id", f"S{widths[0]}"), ("name", f"S{widths[1]}")]
+    numbers = [("year", np.int64), ("articles", np.int64)]
+    data = None
+    try:
+        table = _loadtxt_table(block, JOURNALS_HEADER, "journals", strings + numbers, header)
+    except ValueError:  # such as a row with empty year and articles
+        table = _loadtxt_table(block, JOURNALS_HEADER, "journals", strings + [
+            ("year", f"S{widths[2]}"), ("articles", f"S{widths[3]}")], header)
+        data = (table["year"] != b"") | (table["articles"] != b"")
+    if _cut(table):
+        return None
+    ids, names = table["id"], table["name"]
+    if data is not None:  # the ids and names, read above, cut to a byte
+        table = _loadtxt_table(_rows_only(block, data, header), JOURNALS_HEADER, "journals",
+                               [("id", "S1"), ("name", "S1"), *numbers], header)
+    return ids, names, data, table["year"], table["articles"]
+
+
+def _journal_problem(text: np.ndarray, ids, names, journal, year, count) -> tuple[int, str] | None:
+    """(row, reason) for the first row of a table of journals.csv string fields
+    with an empty id, a name other than its id's first, a number outside the
+    integer grammar, or an article count or year the Corpus rejects; None if
+    there is none.  The rows follow those read before them, whose journals
+    are the sorted `ids`, first listed with `names`, and whose article rows
+    are (journal, year, count).
+    """
+    row_ids, row_names = (np.concatenate((array.astype(np.dtypes.StringDType()), text[:, j]))
+                          for j, array in enumerate((ids, names)))
+    n = len(ids)
+    ids, first, journal_of = np.unique(row_ids, return_index=True, return_inverse=True)
+    names = row_names[first]
+    rows = np.flatnonzero((text[:, 2] != "") | (text[:, 3] != ""))
+    broken = np.zeros(len(text), dtype=int)
+    numbers, broken[rows] = _text_integers(text[rows, 2:])
+    hits = [_first_hit((
+        (text[:, 0] == "", lambda i: "empty journal id"),
+        ((row_names != names[journal_of])[n:],
+         lambda i: f"journal {text[i, 0]!r} listed with conflicting names "
+                   f"{names[journal_of[n + i]]!r} and {text[i, 1]!r}"),
+        *_numeric_hits(text, broken),
+    ))]
+    good = broken[rows] == 0
+    rows, earlier = rows[good], len(journal)
+    journal, year, count = (np.concatenate(pair) for pair in (
+        (journal_of[journal], journal_of[n + rows]), (year, numbers[good, 0]),
+        (count, numbers[good, 1])))
+    article = _article_problem(ids, journal, year, count, _key_order((journal, year)))
+    if article is not None:
+        hits.append((int(rows[article[0] - earlier]), article[1]))
+    return min(filter(None, hits), key=lambda hit: hit[0], default=None)
 
 
 def _parse_journals(file: IO[bytes]) -> tuple:
@@ -687,30 +674,58 @@ def _parse_journals(file: IO[bytes]) -> tuple:
     with empty year and articles declares a journal with no article data.
     A UTF-8 byte order mark is ignored.
 
-    `file` is the binary journals file, which `_loadtxt_journals` reads.  A
-    file numpy's parser rejects is read again with the csv module to name
-    the line of its first bad row.
+    `file` is the binary journals file, read by `_read_blocks`.  Rows of one
+    id and name in a row form a run, whose id and name are kept once; each
+    row's run, year and article count go into the int64 columns.
+    `np.unique` finds the journals among the runs' ids.
     """
-    file, starts, breaks = _opened(file)
-    try:
-        return _loadtxt_journals(file, starts, breaks)
-    except (ValueError, csv.Error, CorpusError) as exc:  # its traceback is freed before the re-read
-        error = CorpusError(f"journals file could not be read: {exc}")
-    text, lines, bad = _reread(file, starts[0][0], 0, JOURNALS_HEADER, "journals")
-    _check_journals(text, lines)
-    raise bad or error
+    file, starts = _opened(file)
+    run_ids, run_names, run_counts = [], [], [0]  # each part's runs; the runs before each block
+
+    def read_block(block, k):
+        parts, n = [], run_counts[-1]
+        for row_ids, row_names, data, year, count in _split_reads(block, k == 0, 4, _journal_part):
+            new = ~_key_order((row_ids, row_names))[1]  # the first row of each run
+            first, run = np.flatnonzero(new), np.cumsum(new) + (n - 1)
+            n += len(first)
+            run_ids.append(row_ids[first])
+            run_names.append(row_names[first])
+            parts.append((run if data is None else run[data], year, count))
+        run_counts.append(n)
+        return parts
+
+    columns, rows, error = _read_blocks(file, starts, "journals", 3, read_block)
+    journal, year, count = columns
+    size = starts[-1][0] - starts[0][0]
+    run_ids, run_names = _joined(run_ids, size), _joined(run_names, size)
+    ids, first, journal_of = np.unique(run_ids, return_index=True, return_inverse=True)
+    names = run_names[first]
+    bad_runs = np.flatnonzero((run_names != names[journal_of]) | (run_ids == b""))
+    np.take(journal_of, journal, out=journal)  # each row's journal, in place of its run
+    problem = _article_problem(ids, journal, year, count, _key_order((journal, year)))
+    if error is None and problem is None and not len(bad_runs):
+        return (*(tuple(array.astype(np.dtypes.StringDType()).tolist()) for array in (ids, names)),
+                *columns)
+    # The first block with a bad row: one that failed, or one whose rows break
+    # a rule with those before them.
+    blocks = [bisect.bisect_right(run_counts, run) - 1 for run in bad_runs[:1].tolist()]
+    if problem is not None:
+        blocks.append(bisect.bisect_right(rows, problem[0]) - 1)
+    k = min(blocks, default=len(rows) - 1)
+    raise _reread(file, starts, k, JOURNALS_HEADER, "journals", lambda text: _journal_problem(
+        text, ids, names, *(column[:rows[k]] for column in columns)),
+        error or CorpusError("journals file breaks a rule"))
 
 
-def _citation_columns(keys, text: np.ndarray) -> tuple:
-    """The Corpus citation columns (citing, cited, citing_year, cited_year,
-    count) of citations.csv rows, given as a table of string fields, where
-    `keys` is the sorted journal ids, up to the first row that names an
-    unknown journal or holds a number outside the integer grammar; and that
-    row's (row, reason), or None.
+def _citation_problem(ids, text: np.ndarray, total: int) -> tuple[int, str] | None:
+    """(row, reason) for the first row, of a table of citations.csv string
+    fields after records whose counts sum to `total`, that names a journal
+    not among the sorted `ids`, holds a number outside the integer grammar,
+    or breaks a rule of `_first_problem`; None if there is none.
     """
     # Object arrays, one id column at a time: numpy 2.4's searchsorted fails
     # on variable-width strings, and Python strings are large.
-    keys = np.array(keys, dtype=object)
+    keys = np.array(ids, dtype=object)
     (citing, citing_known), (cited, cited_known) = (
         _positions(keys, text[:, k].astype(object)) for k in (0, 1))
     numbers, broken = _text_integers(text[:, 2:])
@@ -720,25 +735,20 @@ def _citation_columns(keys, text: np.ndarray) -> tuple:
         *_numeric_hits(text, broken),
     ))
     end = len(text) if bad is None else bad[0]
-    return (citing[:end], cited[:end], *numbers[:end].T), bad
+    return _first_problem(len(ids), citing[:end], cited[:end], *numbers[:end].T,
+                          total=total) or bad
 
 
-def _citation_block(block: bytes, header: bool, keys, dtype) -> tuple:
-    """The citation columns of a `_prepared` block of citations.csv, read by
-    numpy's C parser.
-
-    Given a structured `dtype`, the ids are read as fixed-width bytes, quoted
-    or not, and found in the array `keys`; else every field is read as a
-    string, and the ids are found in the list `keys`, one character a byte.
-    Raises ValueError, csv.Error or CorpusError for a block it cannot read.
+def _citation_part(block: bytes, header: bool, widths, keys: np.ndarray) -> tuple | None:
+    """The citation columns of a `_prepared` part of citations.csv, its ids
+    read as fixed-width bytes of `widths` and found in the sorted `keys`;
+    None where an id fills its width.  Raises ValueError, csv.Error or
+    CorpusError for a part it cannot read.
     """
-    if dtype is None:
-        text = _loadtxt_table(block, CITATIONS_HEADER, "citations", header=header)
-        columns, bad = _citation_columns(keys, text)
-        if bad is not None:
-            raise CorpusError(bad[1])
-        return columns
-    table = _loadtxt_table(block, CITATIONS_HEADER, "citations", dtype, ndmin=1, header=header)
+    dtype = [(name, f"S{widths[k]}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
+    table = _loadtxt_table(block, CITATIONS_HEADER, "citations", dtype, header)
+    if _cut(table):
+        return None
     return (*(journal_positions(keys, table[name]) for name in COLUMNS[:2]),
             *(table[name] for name in COLUMNS[2:]))
 
@@ -748,87 +758,53 @@ def _parse_citations(journals: tuple, file: IO[bytes]) -> Corpus:
     keys are merged by summing counts.  A UTF-8 byte order mark is ignored.
 
     `journals` is the Corpus journal fields, ids first, and `file` the
-    binary citations file.  The `_census` counts its line breaks, which
-    bound its rows; each of its `_blocks` is then read into five int64
-    columns of that length, allocated up front, so a read holds the columns
-    and one block, not the whole file.
+    binary citations file, read by `_read_blocks`.  Its ids are read one
+    byte wider than the longest journal id where that `_fits`; else as wide
+    as each part's own, and looked up in an object array of bytes.
     """
     ids = journals[0]
-    file, starts, breaks = _opened(file)
+    file, starts = _opened(file)
     keys = "\n".join(ids).encode("utf-8").split(b"\n") if ids else []
     # One byte wider than the longest id, so a longer name cannot truncate onto a known id.
-    width = max(map(len, keys), default=0) + 1
-    if _fits((width, width), breaks + 1, starts[-1][0] - starts[0][0]):
+    width, fixed = max(map(len, keys), default=0) + 1, None
+    if _fits((width, width), starts[-1][1] + 1, starts[-1][0] - starts[0][0]):
         width = max(width, 8)  # 8 bytes compare as one uint64 in journal_positions
-        keys = np.array(keys, dtype=f"S{width}")
-        dtype = [(name, f"S{width}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
+        keys, fixed = np.array(keys, dtype=f"S{width}"), (width, width)
     else:
-        # The fields hold one character per byte, and so must the keys.
-        keys, dtype = [key.decode("latin-1") for key in keys], None
-    columns = [np.empty(breaks + 1, dtype=np.int64) for _ in COLUMNS]
-    rows = [0]  # the rows before each block read
-    for (offset, _), (end, _) in zip(starts, starts[1:]):
-        try:
-            block = _citation_block(_prepared(file.read(end - offset)), len(rows) == 1, keys, dtype)
-            n = rows[-1]
-            for column, values in zip(columns, block):
-                column[n:n + len(values)] = values
-        except (ValueError, csv.Error, CorpusError) as exc:
-            # The message only: the traceback is freed before the re-read.
-            error = CorpusError(f"citations file could not be read: {exc}")
-            break
-        rows.append(n + len(values))
-        del block, values  # freed before the next block is read
-    else:
-        for column in columns:
-            column.resize(rows[-1], refcheck=False)  # in place; nothing else refers to it
+        keys = np.array(keys, dtype=object)
+    columns, rows, error = _read_blocks(file, starts, "citations", len(COLUMNS), lambda block, k: (
+        _split_reads(block, k == 0, 2, lambda part, header, widths: _citation_part(
+            part, header, widths, keys), fixed)))
+    if error is None:
         try:
             return Corpus(*journals, *columns)
         except CorpusError as exc:
             error = exc
-    raise _citation_error(file, ids, starts, rows, columns, error)
+    problem = _first_problem(len(ids), *columns)
+    k = len(rows) - 1 if problem is None else bisect.bisect_right(rows, problem[0]) - 1
+    total = int(columns[4][:rows[k]].sum())
+    raise _reread(file, starts, k, CITATIONS_HEADER, "citations",
+                  lambda text: _citation_problem(ids, text, total), error)
 
 
-def _citation_error(file: IO[bytes], ids, starts, rows, columns, error) -> CorpusError:
-    """The CorpusError, naming its line, of the first bad row of a citations
-    file whose blocks before block k = len(rows) - 1 `_parse_citations` read
-    into `columns`, with rows[j] rows before block j.  Block k was rejected
-    with `error`, or, past the last block, the Corpus rejected the columns.
+def _reread(file: IO[bytes], starts, k: int, expected: list[str], what: str, problem,
+            error: CorpusError) -> CorpusError:
+    """The CorpusError, naming its line, of the first bad row of block k of a
+    file with `_census` `starts`, whose rows alone are read again with the
+    csv module: the row `problem(text)` finds in their table of string
+    fields, else the first row that is not `len(expected)` fields free of
+    NUL, CR and LF, else `error`.  Block 0 starts with the header.
 
-    Only the block that holds the bad row is read again, with the csv
-    module.  Its first byte starts a row: a block read before it ends after
+    The block's first byte starts a row: a block read before it ends after
     a line break outside any quoted field, as `_loadtxt_table` checks.
     """
-    earlier = [column[:rows[-1]] for column in columns]
-    problem = _first_problem(len(ids), *earlier)
-    k = len(rows) - 1 if problem is None else bisect.bisect_right(rows, problem[0]) - 1
-    (offset, line), (_, end_line) = starts[k], starts[k + 1]
-    text, lines, bad = _reread(file, offset, line, CITATIONS_HEADER, "citations", k == 0,
-                               end_line - line)
-    if problem is None:
-        block, hit = _citation_columns(ids, text)
-        problem = _first_problem(len(ids), *block, total=int(earlier[4].sum())) or hit
-    else:
-        problem = (problem[0] - rows[k], problem[1])
-    return bad or error if problem is None else CorpusError(problem[1], line=lines[problem[0]])
-
-
-def _reread(file: IO[bytes], offset: int, line: int, expected: list[str], what: str,
-            header: bool = True, n_lines: float = math.inf) -> tuple:
-    """The rows of a UTF-8 file from byte `offset`, which starts its line
-    `line + 1`, read with the csv module as a table of string fields, the
-    line each ends on, and the CorpusError of the first row that is not
-    `len(expected)` fields free of NUL, CR and LF, or None.
-
-    The header is checked first when `header`.  The read stops at that row,
-    or after the first row that ends past the first `n_lines` lines.
-    """
+    (offset, line), (_, end) = starts[k], starts[k + 1]
     file.seek(offset)
     stream = io.TextIOWrapper(file, encoding="utf-8", newline="")
-    rows, lines, error = [], [], None
+    rows, lines, bad = [], [], None
     try:
         reader = csv.reader(stream)
-        if header:
+        if k == 0:
             _check_header(next(reader, None), expected, what)
         try:
             for row in filter(None, reader):  # skips blank lines
@@ -839,16 +815,19 @@ def _reread(file: IO[bytes], offset: int, line: int, expected: list[str], what: 
                 else:
                     rows.append(row)
                     lines.append(line + reader.line_num)
-                    if reader.line_num > n_lines:
+                    if line + reader.line_num > end:
                         break
                     continue
-                error = CorpusError(message, line=line + reader.line_num)
+                bad = CorpusError(message, line=line + reader.line_num)
                 break
         except csv.Error as exc:
-            error = CorpusError(str(exc), line=line + reader.line_num)
+            bad = CorpusError(str(exc), line=line + reader.line_num)
     finally:
         stream.detach()  # which leaves the file open
-    return np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected)), lines, error
+    # The table takes the place of the rows' lists, which are freed before `problem` runs.
+    rows = np.array(rows, dtype=np.dtypes.StringDType()).reshape(-1, len(expected))
+    found = problem(rows)
+    return bad or error if found is None else CorpusError(found[1], line=lines[found[0]])
 
 
 def load_corpus(journals_path, citations_path) -> Corpus:

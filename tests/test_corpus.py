@@ -223,7 +223,7 @@ JOURNAL_FIELDS = st.tuples(ID_TEXTS, NAME_TEXTS, st.one_of(
 )).map(lambda fields: (fields[0], USUAL_NAMES.get(fields[0], "Beta") if fields[1] is None
                        else fields[1], *fields[2]))
 # Journals for the citations files: the ids ID_TEXTS spells, with and
-# without one so long that the id columns are read as variable-width strings;
+# without one so long that the id columns are sized from each part;
 # with a 7-byte id, whose fixed width of 8 bytes is compared as a uint64; and
 # with a 9-byte ISSN, whose width of 10 bytes is compared as bytes.
 SHORT_IDS = ("a", "a,b", "b", 'q"x', "é", "日本")
@@ -323,7 +323,7 @@ def test_parser_matches_the_csv_reference_in_small_blocks(journals_raw, citation
 
 def test_a_long_journal_id_does_not_multiply_the_parse_memory():
     """Fixed-width id columns sized by a 5,000-byte id would take 625 times the
-    citations file; such a file's ids are read as variable-width strings."""
+    citations file; such a file's ids are as wide as each part's own."""
     journals = f"id,name,year,articles\na,A,2006,1\nb,B,2006,1\n{'x' * 5000},Long,2006,1\n"
     citations = "citing,cited,citing_year,cited_year,count\n" + 2_000 * (
         "a,b,2006,2005,1\nb,a,2006,2004,2\n"
@@ -404,6 +404,32 @@ def test_a_bad_last_row_costs_less_than_twice_the_read(generated_files):
     assert peaks[1] < 2 * peaks[0]
 
 
+def test_a_bad_last_journals_row_costs_less_than_twice_the_read(generated_files):
+    """Only the block of a bad journals row is read again with the csv module,
+    not the whole file."""
+    _, path = generated_files
+    good = (path / "journals.csv").read_bytes()
+    bad = good + b"J000999,Journal 000999,2007,x\n"
+    peaks = []
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**14):
+        for raw in (good, bad):
+            result, peak = traced_peak(lambda: outcome(lambda: _parse_journals(io.BytesIO(raw))))
+            peaks.append(peak)
+    assert result[:2] == ("error", bad.count(b"\n"))
+    assert "malformed" in result[2]
+    assert peaks[1] < 2 * peaks[0]
+
+
+def test_a_crlf_is_one_line_break_in_the_census(generated_files):
+    """The census counts the line breaks of a CRLF file as those of its LF copy,
+    so the columns allocated from it are not twice the rows."""
+    _, path = generated_files
+    lf = (path / "citations.csv").read_bytes()
+    crlf = lf.replace(b"\n", b"\r\n")
+    assert corpus_module._census(io.BytesIO(crlf))[-1][1] == lf.count(b"\n")
+    assert corpus_module._census(io.BytesIO(lf))[-1][1] == lf.count(b"\n")
+
+
 def test_a_journals_file_is_read_block_by_block(generated_files):
     """A read holds the three int64 article columns, each journal's id and
     name, and a block: not a table of the whole file's strings, which took
@@ -420,8 +446,7 @@ def test_a_journals_file_is_read_block_by_block(generated_files):
 
 def test_a_long_journal_name_does_not_multiply_the_journals_parse_memory():
     """Fixed-width name fields sized by a 5,000-byte name would take 240 times
-    the journals file; the names of such a block are read as variable-width
-    strings."""
+    the journals file; such a block is split until its parts' fields fit."""
     raw = ("id,name,year,articles\n" + "".join(f"j{i:04d},J{i},2006,1\n" for i in range(2000))
            + f"x,{'L' * 5000},2006,1\n").encode()
     fields, peak = traced_peak(lambda: _parse_journals(io.BytesIO(raw)))
@@ -492,12 +517,11 @@ def test_journal_numbers_beside_a_bare_row_are_read_by_numpy():
 
 def test_quoted_journal_names_with_commas_are_read_as_fixed_width_bytes():
     """Only commas outside quotes split the fields whose widths the fixed-width
-    read takes, so quoted names that hold commas or quotes take no string read."""
+    read takes, so quoted names that hold commas or quotes are read whole."""
     raw = ('id,name,year,articles\n"a",Alpha,2005,1\na,"Alpha",2006,2\n'
            'b,"Beta, ""Applied""",2006,3\nc,"Gamma, Pure and Applied",2006,4\n'
            + "".join(f'j{i:02d},"J, {i}",2006,1\n' for i in range(20))).encode()
-    with mock.patch.object(corpus_module, "_utf8", side_effect=AssertionError):
-        ids, names, journal, year, count = _parse_journals(io.BytesIO(raw))
+    ids, names, journal, year, count = _parse_journals(io.BytesIO(raw))
     assert (ids[:3], names[:3]) == (("a", "b", "c"),
                                     ("Alpha", 'Beta, "Applied"', "Gamma, Pure and Applied"))
     assert names[3:] == tuple(f"J, {i}" for i in range(20))
@@ -530,6 +554,14 @@ JOURNAL_ERRORS = [
     ('id,name,year,articles\n"a\nb",Alpha,2006,1\n', 3, "NUL, CR or LF"),
     ("id,name,year,articles\na,Alpha,\u00a02006,1\n", 2, "malformed"),
     ("id,name,year,articles\na,Alpha,2006,1\u0085\n", 2, "malformed"),
+    # a quoted quote in a number is not a number, beside a row without article data
+    ('id,name,year,articles\na,A,2005,"""5"""\nx,No Data,,\n', 2, "malformed"),
+    # problems across blocks: a conflicting name before a later malformed number,
+    # and a (journal, year) repeated lines after its first row
+    ("id,name,year,articles\na,Alpha,2004,1\nb,Beta,2004,1\na,Alias,2005,1\nc,Gamma,2005,1\n"
+     "d,Delta,2006,x\n", 4, "conflicting names"),
+    ("id,name,year,articles\na,Alpha,2004,1\nb,Beta,2004,1\nc,Gamma,2004,1\nd,Delta,2004,1\n"
+     "a,Alpha,2004,2\n", 6, "duplicate journal id 'a' for year 2004"),
 ]
 
 
@@ -691,6 +723,20 @@ def test_corpus_rejects_columns_that_are_not_int64(column):
 def test_corpus_rejects_citation_to_unknown_journal():
     with pytest.raises(CorpusError, match="unknown journal id"):
         corpus_from([JournalRow("a", "Alpha")], [("a", "b", 2006, 2005, 1)])
+
+
+def test_article_rows_in_order_are_not_sorted_again():
+    """Article rows already in (journal, year) order, as the reader returns
+    them, take no lexsort; rows out of order still come out sorted."""
+    journals = (("a", "b"), ("Alpha", "Beta"))
+    rows = [[0, 0, 1], [2005, 2006, 2006], [10, 12, 5]]
+    records = [[]] * 5
+    with mock.patch.object(corpus_module.np, "lexsort", wraps=np.lexsort) as lexsort:
+        corpus = Corpus(*journals, *rows, *records)
+    assert lexsort.call_count == 0
+    shuffled = Corpus(*journals, *([column[k] for k in (2, 1, 0)] for column in rows), *records)
+    assert corpus_fields(shuffled) == corpus_fields(corpus) == (
+        *journals, *rows, *records)
 
 
 def test_build_merges_records():
