@@ -410,6 +410,7 @@ def test_a_bad_last_journals_row_costs_less_than_twice_the_read(generated_files)
     _, path = generated_files
     good = (path / "journals.csv").read_bytes()
     bad = good + b"J000999,Journal 000999,2007,x\n"
+    outcome(lambda: _parse_journals(io.BytesIO(bad)))  # imports the modules the re-read uses
     peaks = []
     with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**14):
         for raw in (good, bad):
