@@ -85,9 +85,8 @@ class Corpus:
     published in `cited_year[i]`, `count[i]` times, in `citing_year[i]`.
     Construction validates every row, sorts the article rows by (journal,
     year), sorts the records by (citing, cited, citing_year, cited_year) and
-    sums duplicate record keys; the columns are read-only, and instances are
-    safe to share across threads.  int64 columns already in order are kept,
-    not copied, so the caller must not write to them afterwards.
+    sums duplicate record keys.  The columns are the constructor's own
+    copies and read-only, so instances are safe to share across threads.
     """
 
     ids: tuple[str, ...]
@@ -102,6 +101,11 @@ class Corpus:
     count: np.ndarray
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    def _settle(self, copy: bool) -> None:
+        """Validate, sort and merge the fields in place; the int64 columns kept
+        are copies of the given ones unless `copy` is False."""
         ids, names = tuple(self.ids), tuple(self.names)
         if len(names) != len(ids):
             raise CorpusError(f"{len(ids)} journal ids need as many names, got {len(names)}")
@@ -109,7 +113,8 @@ class Corpus:
             raise CorpusError("journal ids must be sorted and unique")
         if ids[:1] == ("",):
             raise CorpusError("journal id must be non-empty")
-        articles = _int64_columns([getattr(self, name) for name in ARTICLE_COLUMNS], "article")
+        articles = _int64_columns([getattr(self, name) for name in ARTICLE_COLUMNS], "article",
+                                  copy)
         order = _key_order(tuple(articles[:2]))
         problem = _article_problem(ids, *articles, order)
         if problem is not None:
@@ -117,13 +122,12 @@ class Corpus:
         if not order[0]:  # rows in (journal, year) order, as the reader returns them, stay
             index = np.lexsort((articles[1], articles[0]))
             articles = [column[index] for column in articles]
-        records = _int64_columns([getattr(self, name) for name in COLUMNS], "citation")
+        records = _int64_columns([getattr(self, name) for name in COLUMNS], "citation", copy)
         problem = _first_problem(len(ids), *records)
         if problem is not None:
             raise CorpusError(problem[1])
         columns = articles + list(_merged(*records))
         for name, column in zip(ARTICLE_COLUMNS + COLUMNS, columns):
-            column = column.view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "ids", ids)
@@ -183,20 +187,31 @@ ARTICLE_COLUMNS = ("article_journal", "article_year", "article_count")
 COLUMNS = ("citing", "cited", "citing_year", "cited_year", "count")
 
 
+def _handed_over(*fields) -> Corpus:
+    """The Corpus of `fields`, whose arrays nobody else holds: validated,
+    sorted and merged as `Corpus(*fields)` is, but keeping those arrays
+    rather than copies of them."""
+    corpus = object.__new__(Corpus)
+    for name, value in zip(("ids", "names") + ARTICLE_COLUMNS + COLUMNS, fields, strict=True):
+        object.__setattr__(corpus, name, value)
+    corpus._settle(copy=False)
+    return corpus
+
+
 def strictly_ascending(ids: tuple[str, ...]) -> bool:
     """Whether the ids are sorted and unique, compared as Python strings."""
     keys = np.array(ids, dtype=object)
     return bool((keys[1:] > keys[:-1]).all())
 
 
-def _int64_columns(columns: list, what: str) -> list[np.ndarray]:
-    """The columns as int64 arrays; CorpusError unless they are one-dimensional,
-    of equal length, and hold integers that fit in int64."""
+def _int64_columns(columns: list, what: str, copy: bool) -> list[np.ndarray]:
+    """The columns as int64 arrays, copies if `copy`; CorpusError unless they
+    are one-dimensional, of equal length, and hold integers that fit in int64."""
     columns = [np.asarray(c) for c in columns]
     if any(c.size and (c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64))
            for c in columns):
         raise CorpusError(f"{what} columns must hold integers that fit in int64")
-    columns = [np.ascontiguousarray(c, dtype=np.int64) for c in columns]
+    columns = [np.array(c, dtype=np.int64, order="C", copy=copy or None, ndmin=1) for c in columns]
     if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
         raise CorpusError(f"{what} columns must be one-dimensional and of equal length")
     return columns
@@ -377,14 +392,19 @@ def _text_integers(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(file: IO[bytes]) -> Iterator[bytes]:
-    """The rest of a binary file in blocks of about `_CHUNK_BYTES`, each but the
-    last ending after a line break.
+    """The rest of a seekable binary file in blocks of about `_CHUNK_BYTES`,
+    each but the last ending after a line break.
 
     No block ends between the CR and LF of a CRLF, so the blocks' line
     breaks are the file's, and a block of a UTF-8 file is UTF-8 on its own.
     """
+    start = file.tell()
+    left = file.seek(0, io.SEEK_END) - start
+    file.seek(start)
     rest = b""
-    while chunk := file.read(_CHUNK_BYTES):
+    # A read of more than the bytes left would allocate all it asks for first.
+    while chunk := file.read(min(_CHUNK_BYTES, left)):
+        left -= len(chunk)
         rest += chunk
         # A CR at the end may be the first half of a CRLF.
         cut = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, len(rest) - 1)) + 1
@@ -777,7 +797,7 @@ def _parse_citations(journals: tuple, file: IO[bytes]) -> Corpus:
             part, header, widths, keys), fixed)))
     if error is None:
         try:
-            return Corpus(*journals, *columns)
+            return _handed_over(*journals, *columns)
         except CorpusError as exc:
             error = exc
     problem = _first_problem(len(ids), *columns)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _handed_over
 
 # Mean article count per (journal, year); counts are 1 + Poisson(mean - 1),
 # so every journal publishes in every year.
@@ -88,8 +88,9 @@ def generate(settings: GenSettings) -> Corpus:
 
     # One article row per (journal, year) and one event per record row; the
     # Corpus sorts the article rows and merges events that share a key.
-    # Journal i's id, J000000 to J999999, sorts at index i.
-    return Corpus(
+    # Journal i's id, J000000 to J999999, sorts at index i.  Nothing else holds
+    # these arrays, so they are handed over to the Corpus, not copied.
+    return _handed_over(
         tuple(f"J{i:06d}" for i in range(n)),
         tuple(f"Journal {i:06d}" for i in range(n)),
         np.repeat(np.arange(n), n_years),

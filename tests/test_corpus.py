@@ -21,6 +21,7 @@ from citerank.corpus import (
     _parse_journals,
     dump_citations,
     dump_journals,
+    load_corpus,
     write_corpus,
 )
 from citerank.errors import CorpusError
@@ -338,21 +339,34 @@ def test_a_long_journal_id_does_not_multiply_the_parse_memory():
     assert peak < 32 * len(citations)
 
 
+QUOTED_JOURNALS = "id,name,year,articles\na,A,2006,1\nb,B,2006,1\n"
+QUOTED_CITATIONS = '"citing","cited","citing_year","cited_year","count"\n' + 2_000 * (
+    '"a","b","2006","2005","1"\n"b","a","2006","2004","2"\n'
+)
+
+
 def test_an_all_quoted_citations_file_is_read_with_fixed_width_ids():
     """Quoted ids are read as fixed-width bytes, as unquoted ones are, so the
     parse peaks at a few times the file's size."""
-    journals = "id,name,year,articles\na,A,2006,1\nb,B,2006,1\n"
-    citations = '"citing","cited","citing_year","cited_year","count"\n' + 2_000 * (
-        '"a","b","2006","2005","1"\n"b","a","2006","2004","2"\n'
-    )
     tracemalloc.start()
     try:
-        corpus = parse_strings(journals, citations)
+        corpus = parse_strings(QUOTED_JOURNALS, QUOTED_CITATIONS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert citation_rows(corpus) == [("a", "b", 2006, 2005, 2_000), ("b", "a", 2006, 2004, 4_000)]
-    assert peak < 6 * len(citations)
+    assert peak < 6 * len(QUOTED_CITATIONS)
+
+
+def test_an_all_quoted_citations_file_on_disk_is_read_with_fixed_width_ids(tmp_path):
+    """The same file read from disk: the census reads no more than the bytes
+    left, where a buffered read of a whole block first allocates the block."""
+    (tmp_path / "journals.csv").write_text(QUOTED_JOURNALS)
+    (tmp_path / "citations.csv").write_text(QUOTED_CITATIONS)
+    corpus, peak = traced_peak(lambda: load_corpus(tmp_path / "journals.csv",
+                                                   tmp_path / "citations.csv"))
+    assert citation_rows(corpus) == [("a", "b", 2006, 2005, 2_000), ("b", "a", 2006, 2004, 4_000)]
+    assert peak < 6 * len(QUOTED_CITATIONS)
 
 
 def traced_peak(read):
@@ -738,6 +752,31 @@ def test_article_rows_in_order_are_not_sorted_again():
     shuffled = Corpus(*journals, *([column[k] for k in (2, 1, 0)] for column in rows), *records)
     assert corpus_fields(shuffled) == corpus_fields(corpus) == (
         *journals, *rows, *records)
+
+
+ROWS_IN_ORDER = [[0, 0, 1], [2005, 2006, 2006], [10, 12, 5]]
+RECORDS_IN_ORDER = [[0, 0, 1], [1, 1, 0], [2006, 2006, 2006], [2004, 2005, 2005], [3, 4, 6]]
+
+
+@pytest.mark.parametrize("given", ["article rows in order", "records in order", "slices"])
+def test_writes_to_the_callers_arrays_leave_the_corpus_unchanged(given):
+    """The columns are the constructor's own copies, even of int64 arrays that
+    need no sort, so writes to the arrays it was given do not reach them."""
+    journals = (("a", "b"), ("Alpha", "Beta"))
+    rows = [np.array(column) for column in ROWS_IN_ORDER]
+    records = [np.array(column) for column in RECORDS_IN_ORDER]
+    if given == "article rows in order":
+        records = [column[::-1] for column in records]
+    elif given == "records in order":
+        rows = [column[::-1] for column in rows]
+    arrays = rows + records
+    if given == "slices":  # each column a slice of one larger array, all in order
+        whole = np.array([[0] * 3, *ROWS_IN_ORDER, *RECORDS_IN_ORDER]).ravel()
+        arrays = [whole[3 * k:3 * k + 3] for k in range(1, 9)]
+    corpus = Corpus(*journals, *arrays)
+    for array in arrays:
+        array += 1
+    assert corpus_fields(corpus) == (*journals, *ROWS_IN_ORDER, *RECORDS_IN_ORDER)
 
 
 def test_build_merges_records():
