@@ -1,11 +1,11 @@
 """Citation-network data model and CSV ingestion.
 
 A :class:`Corpus` holds the sorted journal ids and their names, per-year
-article counts as long-form int64 rows, and aggregated citation records as
-int64 columns.  Records are journal-pair-year counts, not per-article
-events; records with identical (citing, cited, citing_year, cited_year)
-keys are merged by summing counts, so merging is idempotent and
-order-independent.
+article counts as long-form rows, and aggregated citation records as
+columns: journal positions and years as int32, counts as int64.  Records
+are journal-pair-year counts, not per-article events; records with
+identical (citing, cited, citing_year, cited_year) keys are merged by
+summing counts, so merging is idempotent and order-independent.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ _BREAKS = re.compile("[\0\r\n]")
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 _NON_BLANK = re.compile(rb"[^\n]")
 # The bytes of rows one chunk of a CSV writer gathers at most, unless one
-# row is longer, and about the bytes of one block the CSV readers read.
+# row is longer; about the bytes of one block the CSV readers read; and the
+# bytes of the temporaries a sum or check over records takes a block at a time.
 _CHUNK_BYTES = 2**19
 
 
@@ -83,10 +84,12 @@ class Corpus:
     articles in `article_year[i]`; a journal may have no article rows.
     Record i says journal `ids[citing[i]]` cited items that `ids[cited[i]]`
     published in `cited_year[i]`, `count[i]` times, in `citing_year[i]`.
-    Construction validates every row, sorts the article rows by (journal,
-    year), sorts the records by (citing, cited, citing_year, cited_year) and
-    sums duplicate record keys.  The columns are the constructor's own
-    copies and read-only, so instances are safe to share across threads.
+    Positions and years are int32 and counts int64: a year must fit in 32
+    bits, and a count in 2**53.  Construction validates every row, sorts the
+    article rows by (journal, year), sorts the records by (citing, cited,
+    citing_year, cited_year) and sums duplicate record keys.  The columns
+    are the constructor's own copies, at those dtypes, and read-only, so
+    instances are safe to share across threads.
     """
 
     ids: tuple[str, ...]
@@ -104,8 +107,8 @@ class Corpus:
         self._settle(copy=True)
 
     def _settle(self, copy: bool) -> None:
-        """Validate, sort and merge the fields in place; the int64 columns kept
-        are copies of the given ones unless `copy` is False."""
+        """Validate, sort and merge the fields in place; the columns kept are
+        copies of the given ones, at their `_DTYPES`, unless `copy` is False."""
         ids, names = tuple(self.ids), tuple(self.names)
         if len(names) != len(ids):
             raise CorpusError(f"{len(ids)} journal ids need as many names, got {len(names)}")
@@ -113,20 +116,20 @@ class Corpus:
             raise CorpusError("journal ids must be sorted and unique")
         if ids[:1] == ("",):
             raise CorpusError("journal id must be non-empty")
-        articles = _int64_columns([getattr(self, name) for name in ARTICLE_COLUMNS], "article",
-                                  copy)
+        articles = _columns(self, ARTICLE_COLUMNS, "article")
         order = _key_order(tuple(articles[:2]))
         problem = _article_problem(ids, *articles, order)
         if problem is not None:
             raise CorpusError(problem[1])
+        articles = _narrowed(articles, ARTICLE_COLUMNS, copy)
         if not order[0]:  # rows in (journal, year) order, as the reader returns them, stay
             index = np.lexsort((articles[1], articles[0]))
             articles = [column[index] for column in articles]
-        records = _int64_columns([getattr(self, name) for name in COLUMNS], "citation", copy)
+        records = _columns(self, COLUMNS, "citation")
         problem = _first_problem(len(ids), *records)
         if problem is not None:
             raise CorpusError(problem[1])
-        columns = articles + list(_merged(*records))
+        columns = articles + list(_merged(*_narrowed(records, COLUMNS, copy)))
         for name, column in zip(ARTICLE_COLUMNS + COLUMNS, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -185,6 +188,11 @@ class Corpus:
 
 ARTICLE_COLUMNS = ("article_journal", "article_year", "article_count")
 COLUMNS = ("citing", "cited", "citing_year", "cited_year", "count")
+# Each column's dtype: positions and years take 32 bits, and counts 64, for
+# the 2**53 bound.
+_DTYPES = {name: np.dtype(np.int64 if name in ("article_count", "count") else np.int32)
+           for name in ARTICLE_COLUMNS + COLUMNS}
+_YEARS = np.iinfo(_DTYPES["article_year"])
 
 
 def _handed_over(*fields) -> Corpus:
@@ -204,17 +212,27 @@ def strictly_ascending(ids: tuple[str, ...]) -> bool:
     return bool((keys[1:] > keys[:-1]).all())
 
 
-def _int64_columns(columns: list, what: str, copy: bool) -> list[np.ndarray]:
-    """The columns as int64 arrays, copies if `copy`; CorpusError unless they
-    are one-dimensional, of equal length, and hold integers that fit in int64."""
-    columns = [np.asarray(c) for c in columns]
+def _columns(corpus: Corpus, names: tuple[str, ...], what: str) -> list[np.ndarray]:
+    """The corpus fields `names` as one-dimensional arrays of equal length,
+    each of its `_DTYPES` dtype if it has it and else int64, for the rules to
+    check before `_narrowed` casts them; CorpusError unless they hold
+    integers that fit in int64."""
+    columns = [np.asarray(getattr(corpus, name)) for name in names]
     if any(c.size and (c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64))
            for c in columns):
         raise CorpusError(f"{what} columns must hold integers that fit in int64")
-    columns = [np.array(c, dtype=np.int64, order="C", copy=copy or None, ndmin=1) for c in columns]
+    columns = [np.array(c, dtype=c.dtype if c.dtype == _DTYPES[name] else np.int64, copy=None,
+                        ndmin=1) for c, name in zip(columns, names)]
     if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
         raise CorpusError(f"{what} columns must be one-dimensional and of equal length")
     return columns
+
+
+def _narrowed(columns: list[np.ndarray], names: tuple[str, ...], copy: bool) -> list[np.ndarray]:
+    """The `_columns` whose rows the rules passed at their `_DTYPES`, in C
+    order, copies if `copy`."""
+    return [np.array(c, dtype=_DTYPES[name], order="C", copy=copy or None)
+            for c, name in zip(columns, names)]
 
 
 def _first_hit(checks) -> tuple[int, str] | None:
@@ -229,12 +247,18 @@ def _first_hit(checks) -> tuple[int, str] | None:
     return row, reason(row)
 
 
+def _year_check(year: np.ndarray, what: str) -> tuple:
+    """The `_first_hit` check that each of the years fits in 32 bits."""
+    return ((year < _YEARS.min) | (year > _YEARS.max),
+            lambda i: f"{what} {year[i]} is outside the int32 range")
+
+
 def _article_problem(ids, journal, year, count, order) -> tuple[int, str] | None:
     """(row, reason) for the first article row that breaks an invariant; None if all hold.
 
-    The invariants: the journal exists, 0 <= count <= 2**53, and no row
-    repeats the (journal, year) of an earlier one.  `order` is the rows'
-    `_key_order` by (journal, year).
+    The invariants: the journal exists, 0 <= count <= 2**53, the year fits
+    in 32 bits, and no row repeats the (journal, year) of an earlier one.
+    `order` is the rows' `_key_order` by (journal, year).
     """
     ascending, repeated = order
     # Rows in (journal, year) order, as write_corpus writes them, skip the sort,
@@ -249,6 +273,7 @@ def _article_problem(ids, journal, year, count, order) -> tuple[int, str] | None
          lambda i: f"article row references unknown journal position {journal[i]}"),
         (count < 0, lambda i: f"negative article count {count[i]}"),
         (count > MAX_COUNT, lambda i: f"article count {count[i]} is above 2**53"),
+        _year_check(year, "article year"),
         (repeated, lambda i: f"duplicate journal id {ids[journal[i]]!r} for year {year[i]}"),
     ))
 
@@ -256,24 +281,32 @@ def _article_problem(ids, journal, year, count, order) -> tuple[int, str] | None
 def _first_problem(n_journals, citing, cited, citing_year, cited_year, count, total=0):
     """(row, reason) for the first record that breaks an invariant; None if all hold.
 
-    The invariants: both journals exist, 1 <= count <= 2**53, cited_year <=
-    citing_year, and the running total of counts, from the `total` of the
-    records before these, stays at or below 2**53 (which bounds every merged
-    count too).
+    The invariants: both journals exist, 1 <= count <= 2**53, both years fit
+    in 32 bits, cited_year <= citing_year, and the running total of counts,
+    from the `total` of the records before these, stays at or below 2**53
+    (which bounds every merged count too).
     """
-    # Clipping keeps the running sum from wrapping before it first passes the bound.
-    # The sum is taken in place and freed before the other checks, which bounds
-    # the peak memory of a read.
-    running = np.clip(count, 0, MAX_COUNT + 1)
-    np.cumsum(running, out=running)
-    running += total
-    passes = running > MAX_COUNT
-    del running
+    # The running sum is taken in place, a block of rows at a time up to the
+    # block where it first passes the bound, which bounds the peak memory of a
+    # read.  Clipping keeps it from wrapping before it first passes the bound.
+    passes = np.zeros(len(count), dtype=bool)
+    step = max(1, _CHUNK_BYTES // 8)
+    for start in range(0, len(count), step):
+        running = np.clip(count[start:start + step], 0, MAX_COUNT + 1)
+        np.cumsum(running, out=running)
+        running += total
+        block = passes[start:start + step]
+        np.greater(running, MAX_COUNT, out=block)
+        if block.any():
+            break
+        total = int(running[-1])
     return _first_hit((
         ((citing < 0) | (citing >= n_journals) | (cited < 0) | (cited >= n_journals),
          lambda i: f"citation references unknown journal position {citing[i]} or {cited[i]}"),
         ((count < 1) | (count > MAX_COUNT),
          lambda i: f"citation count must be >= 1 and <= 2**53, got {count[i]}"),
+        _year_check(citing_year, "citing_year"),
+        _year_check(cited_year, "cited_year"),
         (cited_year > citing_year,
          lambda i: f"cited_year {cited_year[i]} is after citing_year {citing_year[i]}"),
         (passes, lambda i: "the running total of citation counts passes 2**53"),
@@ -301,8 +334,8 @@ def _sorted(keys: tuple[np.ndarray, ...], count: np.ndarray) -> tuple:
     rows repeat the previous key.
 
     Each key column is packed, as its offset from its minimum, into one int64
-    per row, which one stable argsort orders; `np.lexsort` sorts only keys
-    whose ranges need more than 63 bits together.
+    per row, which one stable argsort orders, and unpacked at its own dtype;
+    `np.lexsort` sorts only keys whose ranges need more than 63 bits together.
     """
     lows = [int(k.min()) for k in keys]
     bits = [(int(k.max()) - low).bit_length() for k, low in zip(keys, lows)]
@@ -313,17 +346,17 @@ def _sorted(keys: tuple[np.ndarray, ...], count: np.ndarray) -> tuple:
     packed = np.zeros(len(count), dtype=np.int64)
     for k, low, b in zip(keys, lows, bits):
         packed <<= b
-        packed |= k - low
+        packed |= np.subtract(k, low, dtype=np.int64)  # in int32, k - low could wrap
     order = np.argsort(packed, kind="stable")
     packed, count = packed[order], count[order]
     del order  # freed before the columns are unpacked, which bounds the peak memory
     repeats = np.zeros(len(packed), dtype=bool)
     repeats[1:] = packed[1:] == packed[:-1]
     columns = []
-    for low, b in zip(lows[::-1], bits[::-1]):
+    for k, low, b in zip(keys[::-1], lows[::-1], bits[::-1]):
         column = packed & ((1 << b) - 1)
         column += low
-        columns.append(column)
+        columns.append(column.astype(k.dtype, copy=False))
         packed >>= b
     return tuple(columns[::-1]), count, repeats
 
@@ -597,16 +630,19 @@ def _joined(arrays: list[np.ndarray], size: int) -> np.ndarray:
     return np.concatenate([array.astype(object) for array in arrays])
 
 
-def _read_blocks(file: IO[bytes], starts, what: str, n_columns: int, read_block) -> tuple:
-    """The `n_columns` int64 columns of the rest of a file with `_census`
-    `starts`, up to the first block that fails; the rows before each block
-    read; and the CorpusError of the block that failed, or None.
+def _read_blocks(file: IO[bytes], starts, what: str, names: tuple[str, ...], read_block) -> tuple:
+    """The columns `names`, at their `_DTYPES`, of the rest of a file with
+    `_census` `starts`, up to the first block that fails; the rows before
+    each block read; and the CorpusError of the block that failed, or None.
 
     `read_block(block, k)` gives the rows of `_prepared` block k as parts,
-    each a tuple of int64 columns, which go into the columns allocated up
-    front from the line breaks: a read holds them and one block.
+    each a tuple of integer columns, which go into the columns allocated up
+    front from the line breaks: a read holds them and one block.  A part's
+    values fit their columns: numbers are parsed at their column's dtype,
+    which fails a block with a year outside int32 rather than wrap it, and
+    positions lie below the journal or row count.
     """
-    columns = [np.empty(starts[-1][1] + 1, dtype=np.int64) for _ in range(n_columns)]
+    columns = [np.empty(starts[-1][1] + 1, dtype=_DTYPES[name]) for name in names]
     rows, error = [0], None
     for k, ((offset, _), (end, _)) in enumerate(zip(starts, starts[1:])):
         try:
@@ -630,7 +666,8 @@ def _read_blocks(file: IO[bytes], starts, what: str, n_columns: int, read_block)
 def _journal_part(block: bytes, header: bool, widths) -> tuple | None:
     """The ids and names of a `_prepared` part of journals.csv as fixed-width
     bytes of `widths`, which rows hold article data (None for all), and
-    those rows' years and article counts; None where a field fills its width.
+    those rows' years and article counts at their columns' dtypes; None
+    where a field fills its width.
 
     A part with a row of empty year and articles fails the one read of all
     four fields; it is read with the numbers as bytes too, and the numbers
@@ -638,7 +675,7 @@ def _journal_part(block: bytes, header: bool, widths) -> tuple | None:
     or CorpusError for a part it cannot read.
     """
     strings = [("id", f"S{widths[0]}"), ("name", f"S{widths[1]}")]
-    numbers = [("year", np.int64), ("articles", np.int64)]
+    numbers = [("year", _DTYPES["article_year"]), ("articles", _DTYPES["article_count"])]
     data = None
     try:
         table = _loadtxt_table(block, JOURNALS_HEADER, "journals", strings + numbers, header)
@@ -657,7 +694,8 @@ def _journal_part(block: bytes, header: bool, widths) -> tuple | None:
 
 def _journal_problem(text: np.ndarray, ids, names, journal, year, count) -> tuple[int, str] | None:
     """(row, reason) for the first row of a table of journals.csv string fields
-    with an empty id, a name other than its id's first, a number outside the
+    with an empty id or one holding a TAB, which would split its row of a
+    TSV output, a name other than its id's first, a number outside the
     integer grammar, or an article count or year the Corpus rejects; None if
     there is none.  The rows follow those read before them, whose journals
     are the sorted `ids`, first listed with `names`, and whose article rows
@@ -673,6 +711,8 @@ def _journal_problem(text: np.ndarray, ids, names, journal, year, count) -> tupl
     numbers, broken[rows] = _text_integers(text[rows, 2:])
     hits = [_first_hit((
         (text[:, 0] == "", lambda i: "empty journal id"),
+        (np.strings.find(text[:, 0], "\t") >= 0,
+         lambda i: f"journal id {text[i, 0]!r} holds a TAB"),
         ((row_names != names[journal_of])[n:],
          lambda i: f"journal {text[i, 0]!r} listed with conflicting names "
                    f"{names[journal_of[n + i]]!r} and {text[i, 1]!r}"),
@@ -696,8 +736,9 @@ def _parse_journals(file: IO[bytes]) -> tuple:
 
     `file` is the binary journals file, read by `_read_blocks`.  Rows of one
     id and name in a row form a run, whose id and name are kept once; each
-    row's run, year and article count go into the int64 columns.
-    `np.unique` finds the journals among the runs' ids.
+    row's run, year and article count go into its columns.  `np.unique`
+    finds the journals among the runs' ids.  A block whose ids hold a TAB
+    fails, for the re-read to name the line.
     """
     file, starts = _opened(file)
     run_ids, run_names, run_counts = [], [], [0]  # each part's runs; the runs before each block
@@ -708,13 +749,15 @@ def _parse_journals(file: IO[bytes]) -> tuple:
             new = ~_key_order((row_ids, row_names))[1]  # the first row of each run
             first, run = np.flatnonzero(new), np.cumsum(new) + (n - 1)
             n += len(first)
+            if b"\t" in block and (np.strings.find(row_ids[first], b"\t") >= 0).any():
+                raise CorpusError("a journal id holds a TAB")
             run_ids.append(row_ids[first])
             run_names.append(row_names[first])
             parts.append((run if data is None else run[data], year, count))
         run_counts.append(n)
         return parts
 
-    columns, rows, error = _read_blocks(file, starts, "journals", 3, read_block)
+    columns, rows, error = _read_blocks(file, starts, "journals", ARTICLE_COLUMNS, read_block)
     journal, year, count = columns
     size = starts[-1][0] - starts[0][0]
     run_ids, run_names = _joined(run_ids, size), _joined(run_names, size)
@@ -761,11 +804,12 @@ def _citation_problem(ids, text: np.ndarray, total: int) -> tuple[int, str] | No
 
 def _citation_part(block: bytes, header: bool, widths, keys: np.ndarray) -> tuple | None:
     """The citation columns of a `_prepared` part of citations.csv, its ids
-    read as fixed-width bytes of `widths` and found in the sorted `keys`;
-    None where an id fills its width.  Raises ValueError, csv.Error or
-    CorpusError for a part it cannot read.
+    read as fixed-width bytes of `widths` and found in the sorted `keys`,
+    and its numbers at their columns' dtypes; None where an id fills its
+    width.  Raises ValueError, csv.Error or CorpusError for a part it cannot
+    read, such as one with a year outside int32.
     """
-    dtype = [(name, f"S{widths[k]}" if k < 2 else np.int64) for k, name in enumerate(COLUMNS)]
+    dtype = [(name, f"S{widths[k]}" if k < 2 else _DTYPES[name]) for k, name in enumerate(COLUMNS)]
     table = _loadtxt_table(block, CITATIONS_HEADER, "citations", dtype, header)
     if _cut(table):
         return None
@@ -792,7 +836,7 @@ def _parse_citations(journals: tuple, file: IO[bytes]) -> Corpus:
         keys, fixed = np.array(keys, dtype=f"S{width}"), (width, width)
     else:
         keys = np.array(keys, dtype=object)
-    columns, rows, error = _read_blocks(file, starts, "citations", len(COLUMNS), lambda block, k: (
+    columns, rows, error = _read_blocks(file, starts, "citations", COLUMNS, lambda block, k: (
         _split_reads(block, k == 0, 2, lambda part, header, widths: _citation_part(
             part, header, widths, keys), fixed)))
     if error is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -9,19 +10,22 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import CitationWindow, Corpus, strictly_ascending
+from .corpus import _CHUNK_BYTES, CitationWindow, Corpus, strictly_ascending
 from .errors import MetricError
 
 METRIC_NAMES = ("total_citations", "impact_factor", "eigenfactor", "custom")
+# What ends a field or a row of the TSV outputs, which hold one id per row.
+_TSV_BREAKS = re.compile("[\t\r\n]")
 
 
 @dataclass(frozen=True, eq=False)
 class MetricVector:
     """A named non-negative score per journal id.
 
-    `ids` is sorted and unique, and `values` is the read-only float64 array
-    of their scores.  `provenance` records the window and parameters the
-    scores came from, plus any journals omitted during computation.
+    `ids` is sorted and unique, with no TAB, CR or LF in any id, and
+    `values` is the read-only float64 array of their scores.  `provenance`
+    records the window and parameters the scores came from, plus any
+    journals omitted during computation.
     """
 
     metric_name: str
@@ -40,6 +44,9 @@ class MetricVector:
             raise MetricError(f"{len(ids)} ids need as many scores, got shape {values.shape}")
         if not strictly_ascending(ids):
             raise MetricError("ids must be sorted and unique")
+        if _TSV_BREAKS.search("".join(ids)):
+            bad = next(i for i in ids if _TSV_BREAKS.search(i))
+            raise MetricError(f"id {bad!r} holds a TAB, CR or LF, which would split its TSV row")
         bad = ~(np.isfinite(values) & (values >= 0.0))
         if bad.any():
             i = int(bad.argmax())
@@ -67,6 +74,22 @@ class MetricVector:
         return len(self.ids)
 
 
+def _received(cited: np.ndarray, counts: np.ndarray, n_journals: int) -> np.ndarray:
+    """Each journal's sum of the counts of the records citing it, as float64.
+
+    The sum is taken a block of records at a time, so the intp and float64
+    copies `np.bincount` makes of its input take `_CHUNK_BYTES`, not 16
+    bytes per record.  Every partial sum is an integer of at most 2**53, so
+    each is exact, and the totals do not depend on the blocks.
+    """
+    totals = np.zeros(n_journals)
+    step = _CHUNK_BYTES // 16
+    for start in range(0, len(cited), step):
+        totals += np.bincount(cited[start:start + step], weights=counts[start:start + step],
+                              minlength=n_journals)
+    return totals
+
+
 def total_citations(corpus: Corpus, window: CitationWindow = CitationWindow()) -> MetricVector:
     """Sum of citation counts received by each journal within the window.
 
@@ -74,7 +97,7 @@ def total_citations(corpus: Corpus, window: CitationWindow = CitationWindow()) -
     JCR's total cites do.  Journals with no in-edges score 0.
     """
     _, cited, counts = corpus.select(window)
-    totals = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
+    totals = _received(cited, counts, corpus.n_journals)
     provenance = (f"total_citations window=[{window.describe()}] "
                   f"include_self={window.include_self}")
     return MetricVector("total_citations", corpus.ids, totals, provenance)
@@ -100,7 +123,7 @@ def impact_factor(corpus: Corpus, census_year: int) -> MetricVector:
         )
     window = CitationWindow(census_year, span=2)
     _, cited, counts = corpus.select(window)
-    numerators = np.bincount(cited, weights=counts, minlength=corpus.n_journals)
+    numerators = _received(cited, counts, corpus.n_journals)
     denominators = corpus.articles_in(window)
     first, last = window.cited_years
     scored = denominators > 0

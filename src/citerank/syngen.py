@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, _handed_over
+from .corpus import _YEARS, Corpus, _handed_over
 
 # Mean article count per (journal, year); counts are 1 + Poisson(mean - 1),
 # so every journal publishes in every year.
@@ -49,6 +49,8 @@ class GenSettings:
                                  n * self.mean_out_citations, 10**7)):
             if size > cap:
                 raise ValueError(f"{what} must be <= {cap}, got {size}")
+        if first < _YEARS.min or last > _YEARS.max:
+            raise ValueError(f"years must be within the int32 range, got {self.years}")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
@@ -81,10 +83,13 @@ def generate(settings: GenSettings) -> Corpus:
     out_events = rng.poisson(settings.mean_out_citations, size=n)
 
     total = int(out_events.sum())
-    citing_idx = np.repeat(np.arange(n), out_events)
-    cited_idx = rng.choice(n, size=total, p=attractiveness / weight)
+    # Every draw is int64, whose stream an int32 draw would change; positions
+    # and years are then cast to the Corpus's int32, each once.
+    citing_idx = np.repeat(np.arange(n, dtype=np.int32), out_events)
+    cited_idx = rng.choice(n, size=total, p=attractiveness / weight).astype(np.int32)
     citing_year = rng.integers(first, last + 1, size=total)
-    cited_year = rng.integers(first, citing_year + 1)
+    cited_year = rng.integers(first, citing_year + 1).astype(np.int32)
+    citing_year = citing_year.astype(np.int32)
 
     # One article row per (journal, year) and one event per record row; the
     # Corpus sorts the article rows and merges events that share a key.
@@ -93,8 +98,8 @@ def generate(settings: GenSettings) -> Corpus:
     return _handed_over(
         tuple(f"J{i:06d}" for i in range(n)),
         tuple(f"Journal {i:06d}" for i in range(n)),
-        np.repeat(np.arange(n), n_years),
-        np.tile(np.arange(first, last + 1), n),
+        np.repeat(np.arange(n, dtype=np.int32), n_years),
+        np.tile(np.arange(first, last + 1, dtype=np.int32), n),
         articles.ravel(),
         citing_idx,
         cited_idx,

@@ -20,6 +20,7 @@ from citerank.errors import CorpusError
 
 MAX_COUNT = 2**53
 INT64 = range(-(2**63), 2**63)
+INT32 = range(-(2**31), 2**31)
 # ASCII digits with an optional sign, between ASCII blanks or \x1c to \x1f.
 INTEGER = re.compile(r"[ \t\v\f\x1c-\x1f]*([+-]?[0-9]+)[ \t\v\f\x1c-\x1f]*")
 
@@ -65,6 +66,8 @@ def journals(raw: bytes) -> tuple:
         jid, name = row[:2]
         if jid == "":
             raise CorpusError("empty journal id", line=line)
+        if "\t" in jid:
+            raise CorpusError(f"journal id {jid!r} holds a TAB", line=line)
         first = names.setdefault(jid, name)
         if first != name:
             raise CorpusError(
@@ -77,6 +80,8 @@ def journals(raw: bytes) -> tuple:
             raise CorpusError(f"negative article count {count}", line=line)
         if count > MAX_COUNT:
             raise CorpusError(f"article count {count} is above 2**53", line=line)
+        if year not in INT32:
+            raise CorpusError(f"article year {year} is outside the int32 range", line=line)
         if (jid, year) in seen:
             raise CorpusError(f"duplicate journal id {jid!r} for year {year}", line=line)
         seen.add((jid, year))
@@ -105,6 +110,9 @@ def citations(ids: tuple[str, ...], raw: bytes) -> list[tuple[int, ...]]:
         citing_year, cited_year, count = integers(row, line)
         if not 1 <= count <= MAX_COUNT:
             raise CorpusError(f"citation count must be >= 1 and <= 2**53, got {count}", line=line)
+        for name, year in (("citing_year", citing_year), ("cited_year", cited_year)):
+            if year not in INT32:
+                raise CorpusError(f"{name} {year} is outside the int32 range", line=line)
         if cited_year > citing_year:
             raise CorpusError(f"cited_year {cited_year} is after citing_year {citing_year}",
                               line=line)

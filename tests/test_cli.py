@@ -189,6 +189,45 @@ def test_rank_eigenfactor_convergence_failure_is_diagnosed(tmp_path, toy_paths, 
     assert not (tmp_path / "o").exists()
 
 
+# A census year and span past int32, whose window the int32 year columns are
+# compared with: numpy raises on arithmetic between them, not on comparisons.
+HUGE_WINDOW = ["--census-year", str(2**40), "--window-span", str(2**62)]
+
+
+def test_a_window_past_int32_is_compared_with_the_years(tmp_path, toy_paths, toy_corpus,
+                                                         capsys):
+    """report, rank --method citations and rank --method eigenfactor end as
+    they did when the year columns were int64."""
+    out = tmp_path / "report"
+    assert run_cli("report", *corpus_args(toy_paths), *HUGE_WINDOW, "--out", out) == 1
+    assert (f"census year {2**40} outside the corpus year range 2004..2006"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    for method, name in (("citations", "total_citations"), ("eigenfactor", "eigenfactor")):
+        assert run_cli("rank", *corpus_args(toy_paths), "--method", method, *HUGE_WINDOW,
+                       "--out", tmp_path / method) == 0
+        vector = load_metric_file(tmp_path / method / f"{name}.metric.json")
+        if method == "citations":  # no citation is made in the census year
+            assert vector.scores == dict.fromkeys(toy_corpus.ids, 0.0)
+        else:  # every journal dangles, so each scores its share of every year's articles
+            articles = toy_corpus.articles_in(CitationWindow())
+            assert vector.values == pytest.approx(100 * articles / articles.sum(), rel=1e-12)
+
+
+def test_a_journal_id_holding_a_tab_is_an_error_naming_its_line(tmp_path, capsys):
+    """Its row of a ranks or scatter TSV would have four fields."""
+    journals, citations = tmp_path / "journals.csv", tmp_path / "citations.csv"
+    journals.write_text('id,name,year,articles\n"a\tx",A,2005,3\na,A,2005,2\nb,B,2005,4\n'
+                        "c,C,2005,1\n")
+    citations.write_text('citing,cited,citing_year,cited_year,count\n"a\tx",b,2006,2005,1\n'
+                         "a,c,2006,2005,2\n")
+    out = tmp_path / "o"
+    assert run_cli("report", "--journals", journals, "--citations", citations,
+                   "--census-year", "2006", "--out", out) == 1
+    assert "line 2: journal id 'a\\tx' holds a TAB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rank_rerun_is_byte_identical(tmp_path, toy_paths):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -407,6 +446,8 @@ def test_compare_needs_two_or_three_files(tmp_path, data_dir, capsys):
     ('{"metric_name": "custom", "scores": {"a": 1e999}}', "must be finite"),
     ('{"metric_name": "custom", "scores": {"a": 1' + "0" * 400 + "}}", "too large"),
     ('{"metric_name": "h_index", "scores": {"a": 1}}', "metric_name must be one of"),
+    ('{"metric_name": "custom", "scores": {"a\\tx": 1}}', "id 'a\\tx' holds a TAB"),
+    ('{"metric_name": "custom", "scores": {"a\\nb": 1}}', "id 'a\\nb' holds a TAB, CR or LF"),
     ("[" * 100_000, "nested too deeply"),
 ])
 def test_compare_rejects_malformed_metric_file(tmp_path, payload, fragment, capsys):
@@ -462,6 +503,13 @@ def test_gen_rejects_bad_year_syntax(tmp_path, capsys):
     (["--journals", "1000001"], "--journals: n_journals must be <= 1000000"),
     (["--journals", "5", "--years", "2006:2002"], "--years: years must not end before they start"),
     (["--journals", "5", "--years", f"2006:{2**62 + 1}"], "--years: must look like 2002:2006"),
+    # years are int32; a range that long breaks a size cap first
+    (["--journals", "5", "--years", "0:2147483648"],
+     "--years: n_journals times the years must be <= 10000000"),
+    (["--journals", "5", "--years", "2147483647:2147483648"],
+     "--years: years must be within the int32 range, got (2147483647, 2147483648)"),
+    (["--journals", "5", "--years", "-2147483649"],
+     "--years: years must be within the int32 range, got (-2147483649, -2147483649)"),
 ])
 def test_gen_bounds_are_usage_errors_before_any_allocation(tmp_path, flags, fragment, capsys,
                                                           monkeypatch):

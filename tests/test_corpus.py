@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import csv_reference
 from citerank import corpus as corpus_module
 from citerank.corpus import (
+    ARTICLE_COLUMNS,
     COLUMNS,
     CitationWindow,
     Corpus,
@@ -37,6 +38,10 @@ from conftest import (
     journal_dict,
     same_corpus,
 )
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 
 
 def parse_strings(journals_text, citations_text):
@@ -390,15 +395,17 @@ def generated_files(tmp_path_factory):
 
 
 def test_a_citations_file_is_read_block_by_block_into_its_columns(generated_files):
-    """A read holds the five int64 columns and a block: not the whole file, nor
-    a table of all its rows."""
+    """A read holds the five columns, four of them int32, and a block: not the
+    whole file, nor a table of all its rows."""
     corpus, path = generated_files
     journals = _parse_journals(io.BytesIO((path / "journals.csv").read_bytes()))
     with mock.patch.object(corpus_module, "_CHUNK_BYTES", 2**16), \
             open(path / "citations.csv", "rb") as citations:
         loaded, peak = traced_peak(lambda: _parse_citations(journals, citations))
     assert same_corpus(loaded, corpus)
-    assert peak < 1.5 * len(COLUMNS) * 8 * corpus.n_records
+    columns = sum(getattr(loaded, name).nbytes for name in COLUMNS)
+    assert columns == (4 * 4 + 8) * corpus.n_records
+    assert peak < 1.5 * columns
 
 
 def test_a_bad_last_row_costs_less_than_twice_the_read(generated_files):
@@ -446,7 +453,7 @@ def test_a_crlf_is_one_line_break_in_the_census(generated_files):
 
 
 def test_a_journals_file_is_read_block_by_block(generated_files):
-    """A read holds the three int64 article columns, each journal's id and
+    """A read holds the three article columns, each journal's id and
     name, and a block: not a table of the whole file's strings, which took
     5.4 times the file."""
     corpus, path = generated_files
@@ -563,6 +570,14 @@ JOURNAL_ERRORS = [
     ("id,name,year,articles\na,Alpha,9223372036854775808,1\n", 2, "int64 range"),
     ("id,name,year,articles\na,Alpha,2006,-1\n", 2, "negative article count"),
     ("id,name,year,articles\na,Alpha,2006,9007199254740993\n", 2, "above 2**53"),
+    # years are int32
+    ("id,name,year,articles\na,Alpha,2006,1\na,Alpha,2147483648,1\n", 3,
+     "article year 2147483648 is outside the int32 range"),
+    ("id,name,year,articles\na,Alpha,-2147483649,1\nb,Beta,2006,1\n", 2,
+     "article year -2147483649 is outside the int32 range"),
+    # an id holding a TAB would split its row of a TSV output
+    ("id,name,year,articles\na\tx,Alpha,2006,1\n", 2, "journal id 'a\\tx' holds a TAB"),
+    ('id,name,year,articles\na,Alpha,2006,1\n"b\ty",Beta,,\n', 3, "holds a TAB"),
     # a row with a malformed number still has its name checked
     ("id,name,year,articles\na,Alpha,2006,1\na,Alias,x,2\n", 3, "conflicting names"),
     ("id,name,year,articles\na,Alpha,2006,1,7\n", 2, "4 fields, got 5"),
@@ -627,6 +642,13 @@ CITATION_ERRORS = [
      2, "int64 range"),
     ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,9007199254740993\n",
      2, "<= 2**53"),
+    # years are int32, and a year outside it is reported before a cited year after it
+    ("citing,cited,citing_year,cited_year,count\na,b,2147483648,2005,1\n",
+     2, "citing_year 2147483648 is outside the int32 range"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2005,1\na,b,2006,-2147483649,1\n",
+     3, "cited_year -2147483649 is outside the int32 range"),
+    ("citing,cited,citing_year,cited_year,count\na,b,2006,2147483648,1\n",
+     2, "cited_year 2147483648 is outside the int32 range"),
     (
         "citing,cited,citing_year,cited_year,count\n"
         "a,b,2006,2005,9007199254740000\na,c,2006,2005,992\na,b,2006,2005,1\n",
@@ -733,6 +755,31 @@ def test_corpus_rejects_columns_that_are_not_int64(column):
         Corpus(*journal, *no_articles, positions, positions, counts + 2005, counts, column)
     with pytest.raises(CorpusError, match="integers"):
         Corpus(*journal, positions, counts + 2005, column, *[[]] * 5)
+
+
+@pytest.mark.parametrize("field, year, message", [
+    ("article_year", 2**31, "article year 2147483648 is outside the int32 range"),
+    ("citing_year", 2**31, "citing_year 2147483648 is outside the int32 range"),
+    ("cited_year", -(2**31) - 1, "cited_year -2147483649 is outside the int32 range"),
+])
+def test_corpus_rejects_years_outside_int32(field, year, message):
+    """Years are checked before they are cast to int32, which would wrap them."""
+    fields = dict(zip(ARTICLE_COLUMNS + COLUMNS, [[0], [2006], [1], [0], [0], [2006], [2005], [1]]))
+    fields[field] = np.array([year])
+    with pytest.raises(CorpusError, match=message):
+        Corpus(("a",), ("Alpha",), *fields.values())
+
+
+def test_corpus_columns_are_int32_but_for_the_counts():
+    """Positions and the int32-extreme years keep their values as int32
+    columns, whatever integer dtype they are given as; counts are int64."""
+    corpus = Corpus(("a", "b"), ("Alpha", "Beta"), np.array([1, 0], dtype=np.uint8),
+                    [INT32_MAX, INT32_MIN], [5, 2**53], [1], [0], np.array([INT32_MAX]),
+                    np.array([INT32_MIN], dtype=np.int32), [2**53])
+    assert corpus_fields(corpus) == (("a", "b"), ("Alpha", "Beta"), [0, 1], [INT32_MIN, INT32_MAX],
+                                     [2**53, 5], [1], [0], [INT32_MAX], [INT32_MIN], [2**53])
+    assert [getattr(corpus, name).dtype for name in ARTICLE_COLUMNS + COLUMNS] == [
+        np.int32, np.int32, np.int64, np.int32, np.int32, np.int32, np.int32, np.int64]
 
 
 def test_corpus_rejects_citation_to_unknown_journal():
@@ -933,18 +980,17 @@ def test_merge_order_independent(corpus, rnd):
     assert rebuilt.total_count() == corpus.total_count()
 
 
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # Text a field must quote, or keep blanks around, or encode in more than one byte.
 FIELD_TEXT = st.text(st.sampled_from([",", '"', " ", "\t", "a", "Z", "é", "ü", "中", "😀"]),
                      max_size=6)
-YEARS = st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]), st.integers(1990, 2010),
-                  st.integers(INT64_MIN, INT64_MAX))
+YEARS = st.one_of(st.sampled_from([INT32_MIN, INT32_MAX, -1, 0]), st.integers(1990, 2010),
+                  st.integers(INT32_MIN, INT32_MAX))
 
 
 @st.composite
 def writer_corpora(draw):
     """Corpora built directly, with ids and names csv must quote, journals
-    without article rows, int64-extreme years and counts up to 2**53."""
+    without article rows, int32-extreme years and counts up to 2**53."""
     ids = sorted(draw(st.sets(FIELD_TEXT.filter(bool), min_size=1, max_size=6)))
     names = [draw(FIELD_TEXT) for _ in ids]
     articles = [(j, year, draw(st.integers(0, 2**53)))
@@ -989,32 +1035,40 @@ def lexsort_merged(citing, cited, citing_year, cited_year, count):
     return (*keys[starts].T, np.add.reduceat(count[order], starts))
 
 
-SPANS = st.sampled_from([0, 4, 2**20, 2**29, 2**30, 2**62])
+SPANS = st.sampled_from([0, 4, 2**20, 2**29, 2**30, 2**31, 2**32 - 1, 2**62])
 
 
-@given(st.integers(0, 2**32), st.integers(2, 300), st.integers(1, 8), SPANS, SPANS)
-@example(0, 50, 2, 2**30, 2**29)  # 1 + 1 + 31 + 30 bits: packed, to the sign bit
-@example(0, 50, 2, 2**30, 2**30)  # 64 bits: lexsort
+@given(st.integers(0, 2**32), st.integers(2, 300), st.integers(1, 8), SPANS, SPANS,
+       st.sampled_from([np.int64, np.int32]))
+@example(0, 50, 2, 2**30, 2**29, np.int64)  # 1 + 1 + 31 + 30 bits: packed, to the sign bit
+@example(0, 50, 2, 2**30, 2**30, np.int64)  # 64 bits: lexsort
+# int32 years whose offsets from their lows pass INT32_MAX
+@example(0, 50, 2, 2**32 - 1, 2**20, np.int32)  # 1 + 1 + 32 + 21 bits: packed
+@example(0, 50, 2, 2**32 - 1, 2**31, np.int32)  # 66 bits: lexsort
 @settings(max_examples=150, deadline=None)
-def test_merged_matches_a_lexsort_reference(seed, n, n_journals, citing_span, cited_span):
+def test_merged_matches_a_lexsort_reference(seed, n, n_journals, citing_span, cited_span, dtype):
     """Shuffled records with repeated keys merge as a four-key lexsort merges
-    them; keys whose ranges need more than 63 bits together cannot be packed
-    into one int64, so lexsort sorts them."""
+    them, and each key keeps its dtype; keys whose ranges need more than 63
+    bits together cannot be packed into one int64, so lexsort sorts them.
+    int32 keys span at most the int32 range."""
     rng = np.random.default_rng(seed)
-    spans = (n_journals - 1, n_journals - 1, citing_span, cited_span)
-    lows = [0, 0, *(int(rng.integers(INT64_MIN, INT64_MAX - s, endpoint=True)) for s in spans[2:])]
+    bounds = np.iinfo(dtype)
+    spans = [n_journals - 1, n_journals - 1,
+             *(min(span, bounds.max - bounds.min) for span in (citing_span, cited_span))]
+    lows = [0, 0, *(int(rng.integers(bounds.min, bounds.max - s, endpoint=True))
+                    for s in spans[2:])]
     keys = np.stack([low + rng.integers(0, s, n, endpoint=True) for low, s in zip(lows, spans)],
                     axis=1)
     keys[0], keys[-1] = lows, [low + s for low, s in zip(lows, spans)]  # each column spans its span
     rows = keys[np.r_[0, n - 1, rng.integers(0, n, 2 * n)]]  # about half the keys repeat
     rows = rows[rng.permutation(len(rows))]
-    records = (*rows.T, rng.integers(1, 1000, len(rows)))
+    records = (*rows.T.astype(dtype), rng.integers(1, 1000, len(rows)))
     with mock.patch.object(corpus_module.np, "lexsort", wraps=np.lexsort) as lexsort:
         merged = corpus_module._merged(*map(np.ascontiguousarray, records))
     expected = lexsort_merged(*records)
     assert len(merged) == len(expected) == 5
-    for got, want in zip(merged, expected):
-        assert got.dtype == np.int64
+    for got, want, given_dtype in zip(merged, expected, (*[dtype] * 4, np.int64)):
+        assert got.dtype == given_dtype
         assert np.array_equal(got, want)
     unpackable = sum(span.bit_length() for span in spans) > 63
     assert lexsort.called == (unpackable and not _ascending(records))

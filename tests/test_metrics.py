@@ -1,14 +1,20 @@
 """Total citation counts and Impact Factor quotients."""
 
 import math
+import re
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citerank import metrics
 from citerank.corpus import CitationWindow
 from citerank.errors import MetricError
 from citerank.metrics import MetricVector, impact_factor, total_citations
+from citerank.syngen import GenSettings, generate
 
 from conftest import build_corpus, citation_dict, corpus_from, journal_dict, seeded_corpus
 
@@ -26,6 +32,14 @@ def test_metric_vector_rejects_unknown_name():
 def test_metric_vector_rejects_non_finite_or_negative(bad):
     with pytest.raises(MetricError):
         MetricVector.from_scores("custom", {"a": bad})
+
+
+@pytest.mark.parametrize("ids", [("a\tx",), ("a", "b\t"), ("a\nb",), ("a", "b\r")])
+def test_metric_vector_rejects_an_id_holding_a_tab_cr_or_lf(ids):
+    """Its row of a ranks or scatter TSV would have four fields, or be split
+    over two lines."""
+    with pytest.raises(MetricError, match=re.escape(f"id {ids[-1]!r} holds a TAB")):
+        MetricVector("custom", ids, [1.0] * len(ids))
 
 
 def test_metric_vector_len():
@@ -83,6 +97,39 @@ def test_total_citations_window_filters_by_census_and_span():
     assert total_citations(corpus, CitationWindow(2006, span=1)).scores["B"] == 5.0
     assert total_citations(corpus, CitationWindow(2006, span=3)).scores["B"] == 7.0
     assert total_citations(corpus).scores["B"] == 31.0
+
+
+def test_total_citations_sums_in_blocks_to_what_one_bincount_sums():
+    """The blocks' partial sums are integers of at most 2**53, so each float64
+    addition is exact: the totals are those of one bincount over every
+    record, to the bit, up to a total of 2**53."""
+    corpus = build_corpus(
+        [("A", {2006: 1}), ("B", {2006: 1}), ("C", {2006: 1})],
+        [("A", "B", 2006, 2005, 2**52), ("B", "C", 2006, 2005, 3), ("C", "B", 2006, 2005, 2**52 - 5),
+         ("A", "B", 2006, 2004, 1), ("A", "C", 2006, 2004, 1)],
+    )
+    with mock.patch.object(metrics, "_CHUNK_BYTES", 2 * 16):  # blocks of two records
+        assert total_citations(corpus).scores == {"A": 0.0, "B": 2.0**53 - 4, "C": 4.0}
+    corpus = generate(GenSettings(300, (2002, 2006), skew_exponent=0.6, seed=3))
+    whole = np.bincount(corpus.cited, weights=corpus.count, minlength=corpus.n_journals)
+    for records in (1, 7, 1000):
+        with mock.patch.object(metrics, "_CHUNK_BYTES", records * 16):
+            assert np.array_equal(total_citations(corpus).values, whole)
+
+
+def test_total_citations_copies_one_block_of_records_at_a_time():
+    """bincount's intp and float64 copies of every record, 16 bytes each, are
+    not made at once."""
+    corpus = generate(GenSettings(1000, (2002, 2006), skew_exponent=0.6, mean_out_citations=100,
+                                  seed=5))
+    with mock.patch.object(metrics, "_CHUNK_BYTES", 2**14):
+        tracemalloc.start()
+        try:
+            total_citations(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * corpus.n_records / 8
 
 
 def test_total_citations_provenance_names_window():

@@ -91,6 +91,8 @@ def test_journal_count_scales():
         {"n_journals": 10**6 + 1, "years": (2006, 2006), "mean_out_citations": 1.0},
         {"n_journals": 2, "years": (0, 5 * 10**6), "mean_out_citations": 1.0},
         {"n_journals": 10**6, "years": (2006, 2006), "mean_out_citations": 10.5},
+        {"n_journals": 5, "years": (2**31 - 1, 2**31)},
+        {"n_journals": 5, "years": (-(2**31) - 1, -(2**31))},
     ],
 )
 def test_settings_validation(kwargs):
@@ -111,6 +113,13 @@ def test_the_size_caps_admit_their_bounds():
 def test_seed_must_be_an_integer_at_least_zero(seed, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         GenSettings(5, (2002, 2006), seed=seed)
+
+
+@pytest.mark.parametrize("years", [(2**31 - 2, 2**31 - 1), (-(2**31), -(2**31) + 1)])
+def test_int32_extreme_years_are_generated_as_they_are(years):
+    """Years are drawn as int64 and cast to the Corpus's int32 columns, which
+    hold the int32 extremes without wrapping."""
+    assert generate(GenSettings(5, years, seed=3)).year_range() == years
 
 
 def test_a_numpy_integer_seed_generates_as_the_int_does():
